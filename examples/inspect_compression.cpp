@@ -28,7 +28,7 @@ void inspect(const Compressor& comp, const char* label,
   for (uint32_t i = 0; i < kValuesPerBlock; ++i)
     if (!att->block.outlier_map.test(i))
       worst = std::max(worst, relative_error(recon[i], block[i]));
-  std::printf("%-24s %u line(s)  %-5s  bias %+4d  %3zu outliers  "
+  std::printf("%-24s %u line(s)  %-5s  bias %+4d  %3u outliers  "
               "avg err %.3f%%  worst non-outlier %.3f%%\n",
               label, att->block.lines(), to_string(att->block.method),
               att->block.bias, att->block.outliers.size(),

@@ -91,22 +91,15 @@ uint64_t DoppelgangerSystem::map_key(uint64_t line) {
 uint32_t DoppelgangerSystem::alloc_data_entry(uint64_t now, uint64_t key) {
   if (free_data_.empty()) {
     // Evict the LRU data entry (and every tag that shares it).
-    uint32_t victim = 0;
-    bool found = false;
-    for (uint32_t i = 0; i < data_.size(); ++i)
-      if (data_[i].valid && (!found || data_[i].lru < data_[victim].lru)) {
-        victim = i;
-        found = true;
-      }
-    assert(found);
-    evict_data_entry(now, victim);
+    assert(lru_head_ != kNil);
+    evict_data_entry(now, lru_head_);
   }
   const uint32_t idx = free_data_.back();
   free_data_.pop_back();
   DataEntry& d = data_[idx];
   d.valid = true;
   d.key = key;
-  d.lru = ++lru_clock_;
+  lru_push_mru(idx);
   d.sharers.clear();
   if (key) by_key_[key] = idx;
   return idx;
@@ -116,7 +109,7 @@ void DoppelgangerSystem::evict_data_entry(uint64_t now, uint32_t idx) {
   DataEntry& d = data_[idx];
   // Invalidate all sharers; dirty ones write back their (representative)
   // contents.
-  for (uint64_t line : std::vector<uint64_t>(d.sharers)) {
+  for (uint64_t line : d.sharers) {
     TagEntry* t = find_tag(line);
     if (!t) continue;
     if (t->dirty) {
@@ -125,6 +118,7 @@ void DoppelgangerSystem::evict_data_entry(uint64_t now, uint32_t idx) {
     }
     t->valid = false;
   }
+  lru_unlink(idx);
   by_key_.erase(d.key);
   d.valid = false;
   d.sharers.clear();
@@ -141,11 +135,27 @@ void DoppelgangerSystem::detach_tag(uint64_t now, TagEntry& t, bool write_back) 
     count_traffic(t.line, kCachelineBytes);
   }
   if (d.sharers.empty() && d.valid) {
+    lru_unlink(t.data_idx);
     by_key_.erase(d.key);
     d.valid = false;
     free_data_.push_back(t.data_idx);
   }
   t.valid = false;
+}
+
+void DoppelgangerSystem::lru_unlink(uint32_t idx) {
+  DataEntry& d = data_[idx];
+  (d.prev == kNil ? lru_head_ : data_[d.prev].next) = d.next;
+  (d.next == kNil ? lru_tail_ : data_[d.next].prev) = d.prev;
+  d.prev = d.next = kNil;
+}
+
+void DoppelgangerSystem::lru_push_mru(uint32_t idx) {
+  DataEntry& d = data_[idx];
+  d.prev = lru_tail_;
+  d.next = kNil;
+  (lru_tail_ == kNil ? lru_head_ : data_[lru_tail_].next) = idx;
+  lru_tail_ = idx;
 }
 
 void DoppelgangerSystem::unshare_for_write(uint64_t now, TagEntry& t) {
@@ -200,7 +210,7 @@ bool DoppelgangerSystem::install(uint64_t now, uint64_t line, bool dirty) {
     std::memcpy(data_[idx].repr.data(), regions_.host_ptr(line), kCachelineBytes);
   }
   data_[idx].sharers.push_back(line);
-  data_[idx].lru = ++lru_clock_;
+  lru_touch(idx);
 
   // alloc/evict may have recycled our victim slot; find a free way again.
   base = &tags_[tag_set_of(line) * tag_ways_];
@@ -227,7 +237,7 @@ uint64_t DoppelgangerSystem::request(uint64_t now, uint64_t line, bool write) {
   last_was_miss_ = false;
   if (TagEntry* t = find_tag(line)) {
     t->lru = ++lru_clock_;
-    data_[t->data_idx].lru = lru_clock_;
+    if (data_[t->data_idx].valid) lru_touch(t->data_idx);
     if (write) {
       unshare_for_write(now, *t);
       if (TagEntry* t2 = find_tag(line)) t2->dirty = true;
@@ -279,6 +289,28 @@ double DoppelgangerSystem::dedup_factor() const {
   for (const TagEntry& t : tags_) tags += t.valid;
   for (const DataEntry& d : data_) entries += d.valid;
   return entries ? static_cast<double>(tags) / static_cast<double>(entries) : 1.0;
+}
+
+std::string DoppelgangerSystem::audit() const {
+  size_t valid = 0;
+  for (const DataEntry& d : data_) valid += d.valid;
+  if (valid + free_data_.size() != data_.size()) return "free list size";
+  size_t listed = 0;
+  for (uint32_t i = lru_head_, prev = kNil; i != kNil; prev = i, i = data_[i].next) {
+    if (!data_[i].valid || data_[i].prev != prev) return "broken LRU list link";
+    if (++listed > valid) return "LRU list longer than the valid entries";
+  }
+  if (listed != valid) return "LRU list misses valid entries";
+  for (const TagEntry& t : tags_) {
+    if (!t.valid) continue;
+    const DataEntry& d = data_[t.data_idx];
+    if (!d.valid) return "tag points at an invalid data entry";
+    if (std::find(d.sharers.begin(), d.sharers.end(), t.line) == d.sharers.end())
+      return "tag missing from its entry's sharers";
+  }
+  for (const auto& [key, idx] : by_key_)
+    if (!data_[idx].valid || data_[idx].key != key) return "stale key map entry";
+  return "";
 }
 
 }  // namespace avr

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -54,6 +55,10 @@ class DoppelgangerSystem final : public LlcSystem {
   /// Effective dedup factor: indexed lines / stored entries.
   double dedup_factor() const;
 
+  /// Cross-checks the tag array, data array, LRU list and key map (O(size),
+  /// for tests). Returns the first broken invariant, or "" if none.
+  std::string audit() const;
+
  private:
   struct TagEntry {
     bool valid = false;
@@ -62,10 +67,14 @@ class DoppelgangerSystem final : public LlcSystem {
     uint32_t data_idx = 0;
     uint64_t lru = 0;
   };
+  // Valid data entries sit on an intrusive doubly linked recency list
+  // (head = LRU, tail = MRU), so finding a victim and touching an entry are
+  // O(1) with no allocation.
+  static constexpr uint32_t kNil = ~uint32_t{0};
   struct DataEntry {
     bool valid = false;
+    uint32_t prev = kNil, next = kNil;
     uint64_t key = 0;
-    uint64_t lru = 0;
     std::array<std::byte, kCachelineBytes> repr{};  // representative contents
     std::vector<uint64_t> sharers;                  // line addresses
   };
@@ -86,6 +95,14 @@ class DoppelgangerSystem final : public LlcSystem {
       counters_.traffic_other_bytes += bytes;
   }
   void unshare_for_write(uint64_t now, TagEntry& t);
+  void lru_unlink(uint32_t idx);
+  void lru_push_mru(uint32_t idx);
+  void lru_touch(uint32_t idx) {
+    if (idx != lru_tail_) {
+      lru_unlink(idx);
+      lru_push_mru(idx);
+    }
+  }
 
   SimConfig cfg_;
   RegionRegistry& regions_;
@@ -94,6 +111,7 @@ class DoppelgangerSystem final : public LlcSystem {
   std::vector<DataEntry> data_;
   std::unordered_map<uint64_t, uint32_t> by_key_;
   std::vector<uint32_t> free_data_;
+  uint32_t lru_head_ = kNil, lru_tail_ = kNil;
   uint32_t tag_sets_ = 0;
   uint32_t tag_ways_ = 0;
   uint64_t lru_clock_ = 0;

@@ -50,14 +50,17 @@ Eviction SetAssocCache::fill(uint64_t addr, bool dirty) {
   assert(!probe(addr) && "fill of a line already present");
   const uint64_t set = set_of(addr);
   Line* base = &lines_[set * ways_];
-  Line* victim = nullptr;
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (!base[w].valid()) {
-      victim = &base[w];
-      break;
-    }
-    if (!victim || base[w].lru < victim->lru) victim = &base[w];
+  // First argmin of the stamps. Invalid ways hold lru == 0 and valid ways
+  // unique stamps >= 1, so the first invalid way wins if there is one, else
+  // the LRU line; the select compiles to conditional moves.
+  uint32_t v = 0;
+  uint64_t oldest = base[0].lru;
+  for (uint32_t w = 1; w < ways_; ++w) {
+    const bool older = base[w].lru < oldest;
+    oldest = older ? base[w].lru : oldest;
+    v = older ? w : v;
   }
+  Line* victim = &base[v];
   Eviction ev;
   if (victim->valid()) {
     ev.valid = true;
@@ -78,6 +81,7 @@ std::optional<bool> SetAssocCache::invalidate(uint64_t addr) {
   if (!l) return std::nullopt;
   const bool dirty = l->dirty;
   l->tag = kNoTag;
+  l->lru = 0;  // keeps fill()'s invalid-ways-first order
   return dirty;
 }
 

@@ -81,7 +81,7 @@ class SetAssocCache {
   static constexpr uint64_t kNoTag = ~uint64_t{0};
   struct Line {
     uint64_t tag = kNoTag;
-    uint64_t lru = 0;  // higher = more recently used
+    uint64_t lru = 0;  // higher = more recently used; 0 iff invalid
     bool dirty = false;
 
     bool valid() const { return tag != kNoTag; }

@@ -345,9 +345,12 @@ std::vector<ExperimentResult> ExperimentRunner::run_points(
   for (auto& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
 
+  // Every point is in cache_ now. Read it directly: a second run() would
+  // count each simulated point as a cache hit too.
   std::vector<ExperimentResult> out;
   out.reserve(points.size());
-  for (const auto& [w, d] : points) out.push_back(run(w, d));
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& p : points) out.push_back(cache_.at(p));
   return out;
 }
 

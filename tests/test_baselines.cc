@@ -7,6 +7,7 @@
 #include "baselines/doppelganger_system.hh"
 #include "baselines/truncate_system.hh"
 #include "common/fp_bits.hh"
+#include "common/prng.hh"
 
 namespace avr {
 namespace {
@@ -195,6 +196,53 @@ TEST_F(DgTest, DrainWritesDirtyLines) {
   sys_.request(0, ap_, true);
   sys_.drain(0);
   EXPECT_GE(sys_.dram().bytes_written(), kCachelineBytes);
+}
+
+TEST(DgStress, EvictionOrderAndCountersPinned) {
+  // Tiny LLC (256 data entries, 1024 tags) under a 2048-line approximate
+  // region drawn from 48 value patterns, so lines dedup, split on writes
+  // and get evicted by the thousand. The counters were captured before the
+  // data array's LRU became a linked list; they pin its victim order.
+  RegionRegistry regions;
+  DoppelgangerSystem sys(tiny_cfg(), regions);
+  constexpr uint64_t kApLines = 2048, kExLines = 256;
+  const uint64_t ap = regions.allocate("ap", kApLines * kCachelineBytes, true);
+  const uint64_t ex = regions.allocate("ex", kExLines * kCachelineBytes, false);
+  Xoshiro256 rng(12);
+  auto paint = [&](uint64_t line) {
+    const float base = static_cast<float>(rng.below(48));
+    for (uint32_t i = 0; i < kValuesPerLine; ++i)
+      regions.store<float>(line + i * 4, base + 0.01f * static_cast<float>(i % 4));
+  };
+  for (uint64_t i = 0; i < kApLines; ++i) paint(ap + i * kCachelineBytes);
+  for (uint64_t i = 0; i < kExLines; ++i) paint(ex + i * kCachelineBytes);
+  for (uint64_t n = 1; n <= 60000; ++n) {
+    // Skewed toward a hot quarter of the region so hits and dedup reuse
+    // happen alongside the capacity misses.
+    const bool hot = rng.below(2) == 0;
+    const bool exact = rng.below(8) == 0;
+    const uint64_t lines = exact ? kExLines : hot ? kApLines / 4 : kApLines;
+    const uint64_t line = (exact ? ex : ap) + rng.below(lines) * kCachelineBytes;
+    const uint64_t op = rng.below(20);
+    if (op < 3) {
+      paint(line);  // the core rewrote it; the LLC sees the writeback
+      sys.writeback(n, line);
+    } else {
+      sys.request(n, line, /*write=*/op < 6);
+    }
+    if (n % 1000 == 0) {
+      ASSERT_EQ(sys.audit(), "") << "after request " << n;
+    }
+  }
+  sys.drain(60001);
+  EXPECT_EQ(sys.audit(), "");
+  const DoppelgangerCounters& c = sys.counters();
+  EXPECT_EQ(c.data_evictions, 11562u);
+  EXPECT_EQ(c.dedup_hits, 21752u);
+  EXPECT_EQ(c.unshares, 7127u);
+  EXPECT_EQ(c.hits, 28094u);
+  EXPECT_EQ(sys.dram().bytes_read(), 1461632u);
+  EXPECT_EQ(sys.dram().bytes_written(), 864256u);
 }
 
 }  // namespace

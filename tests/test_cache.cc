@@ -103,6 +103,119 @@ TEST(SetAssocCache, DistinctSetsDoNotInterfere) {
   EXPECT_TRUE(c.access(0x40, false));
 }
 
+TEST(SetAssocCache, InvalidateThenFillPicksFreedWay) {
+  // 1 set x 4 ways; valid_lines() lists ways in order, so it shows which
+  // way each fill landed in.
+  SetAssocCache c("t", 256, 4);
+  const uint64_t a = 0x0, b = 0x40, cc = 0x80, d = 0xC0, e = 0x100, f = 0x140;
+  for (uint64_t x : {a, b, cc, d}) c.fill(x, false);
+  c.access(cc, false);  // the freed way is not the LRU one
+  ASSERT_TRUE(c.invalidate(cc).has_value());
+  Eviction ev = c.fill(e, false);
+  EXPECT_FALSE(ev.valid);
+  auto lines = c.valid_lines();
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[2].first, e);
+  // Two freed ways: the lower one is taken first, then the other, and only
+  // then does a fill evict the LRU line.
+  c.invalidate(d);
+  c.invalidate(b);
+  EXPECT_FALSE(c.fill(f, false).valid);
+  EXPECT_EQ(c.valid_lines()[1].first, f);
+  EXPECT_FALSE(c.fill(cc, true).valid);
+  EXPECT_EQ(c.valid_lines()[3].first, cc);
+  ev = c.fill(d, false);
+  ASSERT_TRUE(ev.valid);
+  EXPECT_EQ(ev.addr, a);
+  EXPECT_EQ(c.valid_lines()[0].first, d);
+}
+
+TEST(SetAssocCache, FullSetLruVictimSequence) {
+  // access() and mark_dirty() both refresh recency; the victims follow.
+  SetAssocCache c("t", 256, 4);
+  const uint64_t A = 0x0, B = 0x40, C = 0x80, D = 0xC0, E = 0x100;
+  const uint64_t F = 0x140, G = 0x180, H = 0x1C0, I = 0x200, J = 0x240;
+  for (uint64_t x : {A, B, C, D}) c.fill(x, false);
+  c.access(B, false);
+  c.mark_dirty(A);
+  c.access(C, true);
+  std::vector<std::pair<uint64_t, bool>> got;
+  auto fill = [&](uint64_t x) {
+    const Eviction ev = c.fill(x, false);
+    ASSERT_TRUE(ev.valid);
+    got.emplace_back(ev.addr, ev.dirty);
+  };
+  fill(E);
+  fill(F);
+  c.access(A, false);
+  fill(G);
+  fill(H);
+  c.mark_dirty(F);
+  fill(I);
+  fill(J);
+  const std::vector<std::pair<uint64_t, bool>> want = {
+      {D, false}, {B, false}, {C, true}, {E, false}, {A, true}, {G, false}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(c.counters().evictions, 6u);
+  EXPECT_EQ(c.counters().dirty_evictions, 2u);
+}
+
+TEST(SetAssocCache, VictimsMatchReferenceLruUnderRandomOps) {
+  // 4 sets x 4 ways against a recency-list reference model, with
+  // invalidates interleaved so freed ways get refilled mid-stream.
+  SetAssocCache c("t", 1024, 4);
+  struct RefLine {
+    uint64_t addr;
+    bool dirty;
+  };
+  std::vector<std::vector<RefLine>> ref(4);  // per set, LRU first
+  auto ref_find = [&](uint64_t addr) {
+    auto& s = ref[(addr / kCachelineBytes) % 4];
+    for (size_t i = 0; i < s.size(); ++i)
+      if (s[i].addr == addr) return std::make_pair(&s, i);
+    return std::make_pair(&s, s.size());
+  };
+  Xoshiro256 rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t addr = rng.below(64) * kCachelineBytes;
+    const uint64_t op = rng.below(10);
+    auto [s, pos] = ref_find(addr);
+    const bool present = pos < s->size();
+    if (op == 0) {
+      const auto inv = c.invalidate(addr);
+      ASSERT_EQ(inv.has_value(), present);
+      if (present) {
+        EXPECT_EQ(*inv, (*s)[pos].dirty);
+        s->erase(s->begin() + static_cast<ptrdiff_t>(pos));
+      }
+    } else if (op == 1) {
+      ASSERT_EQ(c.mark_dirty(addr), present);
+      if (present) {
+        RefLine l = (*s)[pos];
+        s->erase(s->begin() + static_cast<ptrdiff_t>(pos));
+        s->push_back({l.addr, true});
+      }
+    } else {
+      const bool write = op == 2;
+      ASSERT_EQ(c.access(addr, write), present);
+      if (present) {
+        RefLine l = (*s)[pos];
+        s->erase(s->begin() + static_cast<ptrdiff_t>(pos));
+        s->push_back({l.addr, l.dirty || write});
+        continue;
+      }
+      const Eviction ev = c.fill(addr, write);
+      ASSERT_EQ(ev.valid, s->size() == 4);
+      if (ev.valid) {
+        EXPECT_EQ(ev.addr, s->front().addr);
+        EXPECT_EQ(ev.dirty, s->front().dirty);
+        s->erase(s->begin());
+      }
+      s->push_back({addr, write});
+    }
+  }
+}
+
 class CacheProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CacheProperty, OccupancyNeverExceedsCapacity) {

@@ -165,6 +165,27 @@ TEST(ExperimentRunner, RunPointsHandlesArbitrarySlicesAndDuplicates) {
   EXPECT_EQ(got[2].m.cycles, got[0].m.cycles);
 }
 
+TEST(ExperimentRunner, CacheHitsCountOnlyPointsServedFromCache) {
+  const std::string path =
+      std::filesystem::temp_directory_path() / "avr_test_cache_hits.csv";
+  std::remove(path.c_str());
+  const std::vector<std::pair<std::string, Design>> points = {
+      {"kmeans", Design::kBaseline}, {"bscholes", Design::kBaseline}};
+  {
+    ExperimentRunner cold({}, false, path);
+    cold.run_points(points, 1);
+    const prof::Totals t = cold.profile_totals();
+    EXPECT_EQ(t.count(prof::Counter::kPointsSimulated), points.size());
+    EXPECT_EQ(t.count(prof::Counter::kCacheHits), 0u);
+  }
+  ExperimentRunner warm({}, false, path);
+  warm.run_points(points, 1);
+  const prof::Totals t = warm.profile_totals();
+  EXPECT_EQ(t.count(prof::Counter::kPointsSimulated), 0u);
+  EXPECT_EQ(t.count(prof::Counter::kCacheHits), points.size());
+  std::remove(path.c_str());
+}
+
 TEST(ExperimentRunner, PaperDesignsList) {
   const auto d = ExperimentRunner::paper_designs();
   ASSERT_EQ(d.size(), 5u);
