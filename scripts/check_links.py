@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail on dead relative links in the repo's markdown docs.
+"""Fail on dead relative links and stale source-file names in the docs.
 
 Scans README.md and docs/*.md for markdown links and checks that every
 relative target (optionally with a #fragment) exists on disk, relative to
@@ -7,8 +7,15 @@ the file containing the link. External (scheme://), mailto: and pure
 #fragment links are skipped; so are links inside fenced code blocks, which
 in this repo are command examples, not navigation.
 
+It also checks every inline-code file name with a .cc, .hh, .cpp or .py
+suffix (e.g. `simd_avx2.cc`, `harness/sweep.hh`, `src/tools/avr_sweep.cc:42`):
+the name must exist relative to the repo root or the markdown file, or be
+the trailing part (a basename, or an include-style path) of a file under
+the source directories below. A renamed or deleted source file therefore
+cannot linger in the docs.
+
 Usage: scripts/check_links.py [file-or-dir ...]   (default: README.md docs/)
-Exit status: 0 if every relative link resolves, 1 otherwise.
+Exit status: 0 if every link and file name resolves, 1 otherwise.
 """
 
 import re
@@ -17,6 +24,16 @@ from pathlib import Path
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE = re.compile(r"^\s*(```|~~~)")
+CODE_SPAN = re.compile(r"`([^`]+)`")
+SOURCE_NAME = re.compile(r"^([\w./-]+\.(?:cc|hh|cpp|py))(?::\d+)?$")
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE_DIRS = ("src", "tests", "bench", "examples", "scripts", "perfbench")
+
+
+def source_files():
+    """Every file under SOURCE_DIRS, as '/'-prefixed repo-relative paths."""
+    return ["/" + p.relative_to(ROOT).as_posix()
+            for d in SOURCE_DIRS for p in (ROOT / d).rglob("*") if p.is_file()]
 
 
 def candidate_files(args):
@@ -28,7 +45,7 @@ def candidate_files(args):
             yield root
 
 
-def check_file(md: Path):
+def check_file(md: Path, sources):
     dead = []
     in_fence = False
     for lineno, line in enumerate(md.read_text().splitlines(), start=1):
@@ -44,7 +61,16 @@ def check_file(md: Path):
             if not path:
                 continue
             if not (md.parent / path).exists():
-                dead.append((lineno, target))
+                dead.append((lineno, "dead relative link: " + target))
+        for span in CODE_SPAN.findall(line):
+            m = SOURCE_NAME.match(span.strip())
+            if not m:
+                continue
+            name = m.group(1)
+            if ((ROOT / name).exists() or (md.parent / name).exists()
+                    or any(p.endswith("/" + name) for p in sources)):
+                continue
+            dead.append((lineno, "no such source file: " + name))
     return dead
 
 
@@ -53,12 +79,13 @@ def main(argv):
     if not files:
         print("check_links: no markdown files found", file=sys.stderr)
         return 1
+    sources = source_files()
     failures = 0
     for md in files:
-        for lineno, target in check_file(md):
-            print(f"{md}:{lineno}: dead relative link: {target}", file=sys.stderr)
+        for lineno, problem in check_file(md, sources):
+            print(f"{md}:{lineno}: {problem}", file=sys.stderr)
             failures += 1
-    print(f"check_links: {len(files)} file(s), {failures} dead link(s)")
+    print(f"check_links: {len(files)} file(s), {failures} problem(s)")
     return 1 if failures else 0
 
 

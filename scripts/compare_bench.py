@@ -2,10 +2,10 @@
 """Compare fresh bench_micro_* results against the committed baseline.
 
 Usage:
-    compare_bench.py BENCH_PR9.json fresh1.json [fresh2.json ...]
+    compare_bench.py BENCH_PR12.json fresh1.json [fresh2.json ...]
 
 The baseline file holds ns/iteration numbers under a "post" key (see
-BENCH_PR9.json); the fresh files are Google Benchmark --benchmark_format=json
+BENCH_PR12.json); the fresh files are Google Benchmark --benchmark_format=json
 outputs. Absolute times are machine-dependent, so the report shows the
 current/baseline ratio per benchmark and flags entries slower than
 --threshold (default 1.5x). Exits 1 if anything is flagged — the CI
@@ -31,7 +31,7 @@ def load_benchmark_json(path):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("baseline", help="committed baseline (BENCH_PR4.json)")
+    ap.add_argument("baseline", help="committed baseline (BENCH_PR12.json)")
     ap.add_argument("fresh", nargs="+", help="Google Benchmark JSON outputs")
     ap.add_argument("--threshold", type=float, default=1.5,
                     help="flag benchmarks slower than this ratio (default 1.5)")

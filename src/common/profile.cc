@@ -107,7 +107,7 @@ bool write_profile_json(const std::string& path, const Report& report) {
 
   // tmp + rename: a reader (or artifact upload) never sees a torn sidecar.
   // The tmp name carries the owner (pid fallback), so concurrent writers
-  // aimed at one final path — two shards misconfigured onto the same
+  // aimed at one final path — two workers misconfigured onto the same
   // AVR_PROFILE_OUT — can never tear each other's tmp file; last rename
   // wins whole. Sidecar failure is never fatal: every caller warns and
   // moves on (the sweep's results do not live here).

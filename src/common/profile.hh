@@ -11,7 +11,7 @@
 //     adds two steady_clock reads (~40 ns per scope, amortized per *phase*,
 //     never per access). Each experiment point runs on exactly one thread,
 //     so the sink needs no atomics: the harness installs a per-point Totals
-//     for the duration of the point and merges it into shard aggregates
+//     for the duration of the point and merges it into process aggregates
 //     under its own lock afterwards.
 //   - Phases may nest (kCompress runs inside kTiming); the report treats
 //     nested phases as sub-spans, not disjoint buckets.
@@ -69,7 +69,7 @@ const char* counter_name(Counter c);
 
 /// One accumulation bucket: per-phase time and calls plus the counters.
 /// Plain addition semantics throughout — merge() makes any tree of Totals
-/// (per point -> per runner -> per shard) sum exactly.
+/// (per point -> per runner -> per process) sum exactly.
 struct Totals {
   std::array<uint64_t, kNumPhases> ns{};
   std::array<uint64_t, kNumPhases> calls{};
@@ -206,8 +206,8 @@ struct PointProfile {
 /// breakdowns, and the aggregate (sum of points + harness/scheduler time).
 struct Report {
   std::string owner;  // claim-owner token or "<host>-<pid>"
-  std::string mode;   // "claim", "shard", "runner", ...
-  std::string simd;   // active kernel dispatch level: "scalar"|"sse4"|"avx2"
+  std::string mode;   // "claim"/"single" (avr_sweep), "runner" (in-process)
+  std::string simd;   // active kernel dispatch level: "scalar"|"avx2"
   double wall_seconds = 0;
   Totals aggregate;
   std::vector<PointProfile> points;

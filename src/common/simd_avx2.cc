@@ -394,9 +394,11 @@ bool error_scan_f32_avx2(const float* original, const int32_t* recon_raw,
   return true;
 }
 
-// -mavx2 implies SSE4.2, so the AVX2 level reuses the hardware crc32
-// instruction (there is no wider CRC datapath to exploit; carry-less
-// multiply folding would need PCLMUL and buys nothing at record sizes).
+// -mavx2 implies SSE4.2, whose crc32 instruction computes exactly the
+// reflected Castagnoli update the scalar table does, 8 bytes per step
+// (there is no wider CRC datapath to exploit; carry-less multiply folding
+// would need PCLMUL and buys nothing at record sizes). test_simd_kernels
+// pins the bit-identity.
 uint32_t crc32c_update_avx2(uint32_t crc, const uint8_t* data, size_t n) {
   size_t i = 0;
   uint64_t c = crc;

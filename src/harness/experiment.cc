@@ -263,7 +263,7 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
         fault::kill_now(fault::Site::kPointComplete);
 
       // Append before taking mu_: the cross-process flock inside can block on
-      // another shard's writer, and stalling this process's other workers on
+      // another process's writer, and stalling this process's other workers on
       // mu_ for that would serialize point completion across processes.
       if (!cache_path_.empty() && !append_result_line(cache_path_, res)) {
         disk_write_failures_.fetch_add(1);
@@ -286,8 +286,7 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
 std::vector<ExperimentResult> ExperimentRunner::run_all(
     const std::vector<std::string>& workloads, const std::vector<Design>& designs,
     unsigned n_threads) {
-  // sweep::full_grid is the single definition of the canonical order the
-  // shard slicing partitions.
+  // sweep::full_grid is the single definition of the canonical order.
   return run_points(sweep::full_grid(workloads, designs), n_threads);
 }
 

@@ -28,7 +28,7 @@ struct ExperimentResult {
   uint64_t config_hash = 0;
   /// Wall-clock seconds the point took to simulate. Persisted in the disk
   /// cache and fed back as the cost estimate for longest-first scheduling;
-  /// NOT part of the simulated result (shard caches produced on different
+  /// NOT part of the simulated result (sweep caches produced on different
   /// machines differ here while agreeing on every metric).
   double wall_seconds = 0;
 };
@@ -36,7 +36,7 @@ struct ExperimentResult {
 class ExperimentRunner {
  public:
   /// `cache_path`: optional CSV file persisting results across the figure
-  /// binaries and sweep shards (they all share one default-config sweep).
+  /// binaries and sweep processes (they all share one default-config sweep).
   /// Appends are safe against concurrent writer *processes* — see
   /// harness/result_cache.hh for the format and locking contract. Records
   /// carry the base config's fingerprint (format v3+), so runners with
@@ -49,7 +49,7 @@ class ExperimentRunner {
 
   /// If the environment variable AVR_PROFILE_OUT names a path, writes the
   /// runner's profile there as sidecar JSON (mode "runner"). avr_sweep
-  /// bypasses this and writes a richer per-shard report itself.
+  /// bypasses this and writes a richer per-process report itself.
   ~ExperimentRunner();
 
   static std::string default_cache_path();
@@ -80,7 +80,7 @@ class ExperimentRunner {
                                         const std::vector<Design>& designs,
                                         unsigned n_threads = 0);
 
-  /// Run an arbitrary point list (e.g. one shard's slice of the grid) on the
+  /// Run an arbitrary point list (e.g. one variant's part of the grid) on the
   /// pool. Uncached points are scheduled longest-first by cost_estimate() —
   /// points vary ~30x in cost, so starting the expensive ones first keeps
   /// the pool busy until the end of the sweep. Returns results in the given
@@ -112,7 +112,7 @@ class ExperimentRunner {
   /// Number of results that could not be appended to the disk cache (disk
   /// full, permissions, ...). Simulation carries on from the in-memory
   /// cache — each failure warns on stderr — but a persistence-critical
-  /// caller (avr_sweep: the shard cache IS its output) must check this and
+  /// caller (avr_sweep: the cache IS its output) must check this and
   /// fail loudly.
   size_t disk_write_failures() const { return disk_write_failures_.load(); }
 

@@ -22,13 +22,8 @@ namespace avr {
 namespace {
 
 // Result-payload fixed fields (workload through wall_seconds, before the
-// variable detail pairs): v3+ carry config_hash, v2 does not.
+// variable detail pairs).
 constexpr size_t kResultPayloadFixed = 24;
-constexpr size_t kResultPayloadFixedV2 = 23;
-
-// A v5 claim line has exactly 11 fields: version, L<len>, C<crc>, claim#,
-// workload, design, config_hash, owner, claimed_at, lease_seconds, end#.
-constexpr size_t kClaimFieldsV5 = 11;
 
 // Every record ends with this sentinel field. A line torn mid-append —
 // even one cut inside the final numeric token, which would otherwise parse
@@ -98,7 +93,7 @@ bool record_closed(const std::vector<std::string>& f, const std::string& line) {
 }
 
 // CRC-32C of the payload bytes with the standard pre/post conditioning,
-// through the dispatched kernel table (hardware crc32 on SSE4.2+).
+// through the dispatched kernel table (hardware crc32 at the avx2 level).
 uint32_t record_crc(const char* data, size_t n) {
   return ~simd::kernels().crc32c_update(
       0xFFFFFFFFu, reinterpret_cast<const uint8_t*>(data), n);
@@ -133,17 +128,15 @@ bool parse_crc_hex(const std::string& f, uint32_t* out) {
 // Fixed fields + detail pairs of a result payload; f[start] is the
 // workload field and f.back() the already-verified sentinel.
 bool parse_result_payload(const std::vector<std::string>& f, size_t start,
-                          bool has_hash, ExperimentResult* out) {
-  const size_t fixed =
-      start + (has_hash ? kResultPayloadFixed : kResultPayloadFixedV2);
-  if (f.size() < fixed + 1) return false;
+                          ExperimentResult* out) {
+  if (f.size() < start + kResultPayloadFixed + 1) return false;
   try {
     ExperimentResult r;
     size_t i = start;
     r.workload = f[i++];
     if (r.workload.empty()) return false;
     r.design = static_cast<Design>(to_int(f[i++]));
-    r.config_hash = has_hash ? to_u64(f[i++]) : config_fingerprint(SimConfig{});
+    r.config_hash = to_u64(f[i++]);
     RunMetrics& m = r.m;
     m.cycles = to_u64(f[i++]);
     m.instructions = to_u64(f[i++]);
@@ -180,7 +173,8 @@ bool parse_result_payload(const std::vector<std::string>& f, size_t start,
   }
 }
 
-// Claim payload; f[start] is the "claim#" marker.
+// Claim payload; f[start] is the "claim#" marker, followed by workload,
+// design, config_hash, owner, claimed_at, lease_seconds and end#.
 bool parse_claim_payload(const std::vector<std::string>& f, size_t start,
                          ClaimRecord* out) {
   if (f.size() != start + 8) return false;
@@ -284,14 +278,13 @@ bool append_line_locked(const FileLock& lock, std::string line,
 
 CacheLineKind classify_cache_line(const std::string& line,
                                   ExperimentResult* result, ClaimRecord* claim,
-                                  std::string* reason, int* version) {
+                                  std::string* reason) {
   if (line.empty()) return CacheLineKind::kBlank;
   const std::vector<std::string> f = split_fields(line);
   if (f.empty()) return CacheLineKind::kBlank;
   const std::string& v = f[0];
 
   if (v == "5") {
-    if (version) *version = 5;
     if (f.size() < 4 || f[1].size() < 2 || f[1][0] != 'L' || f[2].size() != 9 ||
         f[2][0] != 'C')
       return corrupt(reason, "bad v5 framing (want 5,L<len>,C<crc8hex>,...)");
@@ -329,29 +322,18 @@ CacheLineKind classify_cache_line(const std::string& line,
       return corrupt(reason, buf);
     }
     if (f[3] == kClaimKind) {
-      if (f.size() != kClaimFieldsV5 || !parse_claim_payload(f, 3, claim))
+      if (!parse_claim_payload(f, 3, claim))
         return corrupt(reason, "corrupt claim payload (crc-valid framing)");
       return CacheLineKind::kClaim;
     }
-    if (!parse_result_payload(f, 3, /*has_hash=*/true, result))
+    if (!parse_result_payload(f, 3, result))
       return corrupt(reason, "corrupt result payload (crc-valid framing)");
     return CacheLineKind::kResult;
   }
 
-  if (v == "2" || v == "3" || v == "4") {
-    if (version) *version = v[0] - '0';
-    // Claims are transient scheduler state: only the current version is
-    // understood, older ones are another epoch's leftovers, not corruption.
-    if (f.size() > 1 && f[1] == kClaimKind) return CacheLineKind::kForeign;
-    if (!record_closed(f, line))
-      return corrupt(reason, "missing end# sentinel (torn append?)");
-    if (!parse_result_payload(f, 1, /*has_hash=*/v != "2", result))
-      return corrupt(reason, "corrupt v" + v + " result payload");
-    return CacheLineKind::kResult;
-  }
-
-  // A decimal version we do not know is a future format — foreign, not
-  // corrupt (forward compatibility for merges). Anything else is garbage.
+  // Any other decimal version — an older format or a future one — is
+  // foreign, not corrupt: not ours to judge, and harmless to merges.
+  // Anything else is garbage.
   bool numeric = !v.empty();
   for (char ch : v)
     if (ch < '0' || ch > '9') numeric = false;

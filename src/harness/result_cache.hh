@@ -1,8 +1,8 @@
 // On-disk result cache: an append-only CSV journal holding one line per
-// completed (workload, design) point — and, since format v4, one line per
-// *claim* a work-stealing shard stakes on a point it is about to simulate.
+// completed (workload, design) point, and one line per *claim* a
+// work-stealing worker stakes on a point it is about to simulate.
 //
-// Format v5 adds explicit framing and a checksum. Every record is
+// Format v5 frames every record with a length and a checksum:
 //
 //   5,L<len>,C<crc8hex>,<payload>
 //
@@ -10,12 +10,12 @@
 // of the line (the trailing "end#" sentinel included), <len> is the decimal
 // payload byte count, and <crc8hex> is the CRC-32C of the payload bytes
 // (Castagnoli, reflected, ~crc32c(~0, payload); 8 lower-case hex digits,
-// computed through the dispatched SIMD kernel table — hardware crc32 on
-// SSE4.2+, table-driven scalar otherwise). The length catches short writes
-// the sentinel alone cannot (a torn tail that happens to end in ",end#"),
-// and the CRC catches bit rot that still parses.
+// computed through the dispatched SIMD kernel table — hardware crc32 at
+// the avx2 level, table-driven scalar otherwise). The length catches short
+// writes the sentinel alone cannot (a torn tail that happens to end in
+// ",end#"), and the CRC catches bit rot that still parses.
 //
-// Result payload (identical to the v4/v3 field layout minus the version):
+// Result payload:
 //
 //   workload,design,config_hash,<19 metric fields>,output_error,
 //       wall_seconds[,detail_key,detail_value]...,end#
@@ -37,27 +37,27 @@
 // (per-workload scaling is deterministic from it), so records produced
 // under different configurations — e.g. the bench_ablation or --t1
 // variants — can share one cache file: loads filter on the hash.
-// Back-compat: v4/v3 result lines (unframed, version-prefixed v5 payload
-// layout) and v2 lines (v3 without config_hash; decodes with the
-// default-config fingerprint) keep decoding forever, so existing caches
-// and merge-by-concatenation stay valid. Claim records are transient
-// scheduler state and only decode at the current version.
+// Only the current version decodes. Lines of any other version (the
+// unframed v2–v4 layouts, or a future format) are foreign: loads skip them
+// silently, fsck counts them and a repair rewrite drops them. A cache
+// written by an older binary is regenerated by re-running the sweep.
 //
-// Contract for concurrent *writer processes* (the sharded sweep):
+// Contract for concurrent *writer processes* (the --claim sweep):
 //   - a record is encoded to one string and appended with a single write(2)
 //     on an O_APPEND fd, under an exclusive flock(2) on the cache file —
 //     writers never interleave partial lines. Lock acquisition and the
 //     write are retried with bounded exponential backoff (common/
 //     backoff.hh) before the writer degrades to in-memory-only results;
 //   - claim staking (try_claim_point) is read-modify-append under the same
-//     flock, so two shards can never both win a fresh claim on one point;
+//     flock, so two workers can never both win a fresh claim on one point;
 //   - readers take no lock: load_result_cache() *quarantines* corrupt,
 //     truncated or checksum-failing lines — each skipped with a one-line
 //     stderr reason (capped per load) — skips claims and foreign versions,
 //     and tolerates duplicate records (points are deterministic, so
-//     duplicates carry identical values; the last one wins). Merging shard
-//     caches is therefore plain concatenation. avr_sweep --fsck audits a
-//     cache offline; --fsck --repair rewrites it clean (harness/fsck.hh).
+//     duplicates carry identical values; the last one wins). Merging
+//     per-job caches is therefore plain concatenation. avr_sweep --fsck
+//     audits a cache offline; --fsck --repair rewrites it clean
+//     (harness/fsck.hh).
 //
 // Fault sites on this path (common/fault_inject.hh): "cache.append" inside
 // the result-record write loop (kill = torn line), "cache.load" ahead of a
@@ -76,8 +76,7 @@ namespace avr {
 
 /// Bump whenever results become incomparable (model changes) or the record
 /// framing changes; config changes need no bump — records carry a config
-/// fingerprint. Loads accept this version plus the legacy result layouts
-/// (4/3 identical unframed, 2 without config_hash).
+/// fingerprint. Loads accept this version only; other versions are foreign.
 inline constexpr int kResultCacheVersion = 5;
 
 /// The (workload, design) pair results and claims are keyed by.
@@ -113,28 +112,26 @@ enum class ClaimOutcome {
 /// policy (the single classifier behind decode_*, the loaders and fsck).
 enum class CacheLineKind {
   kBlank,    // empty line
-  kResult,   // a valid result record (v2..v5) — *result is filled
+  kResult,   // a valid current-version result — *result is filled
   kClaim,    // a valid current-version claim — *claim is filled
-  kForeign,  // another tool's/version's line (future version, stale claim):
+  kForeign,  // another version's line (older or future format):
              //   not ours to judge, skipped silently
   kCorrupt,  // torn, checksum-failing or unparseable — *reason says why
 };
 
 /// Classifies `line`. `result`/`claim` receive the decoded record for
 /// kResult/kClaim; `reason` (optional) the one-line quarantine cause for
-/// kCorrupt; `version` (optional) the record's version field when one was
-/// recognized (2..5), untouched otherwise.
+/// kCorrupt.
 CacheLineKind classify_cache_line(const std::string& line,
                                   ExperimentResult* result, ClaimRecord* claim,
-                                  std::string* reason = nullptr,
-                                  int* version = nullptr);
+                                  std::string* reason = nullptr);
 
 /// One result CSV record (v5 framed), no trailing newline. Doubles are
 /// written with max_digits10 precision so decode() round-trips them
-/// bit-exactly — re-encoding a decoded legacy record is value-identical.
+/// bit-exactly — re-encoding a decoded record is value-identical.
 std::string encode_result_line(const ExperimentResult& r);
 
-/// Parses one result record (v2..v5). Returns false (leaving `*out`
+/// Parses one result record. Returns false (leaving `*out`
 /// unspecified) for blank, malformed, truncated, checksum-failing,
 /// wrong-version — or claim — lines.
 bool decode_result_line(const std::string& line, ExperimentResult* out);

@@ -1,16 +1,15 @@
-// avr_sweep: shardable command-line driver for the paper's (workload x
-// design) sweep. Each invocation owns a slice of the grid — a fixed
-// round-robin `--shard i/N` slice, or (preferred) whatever it wins under
-// `--claim` work stealing — and appends its results to a writer-safe CSV
-// cache, so a full reproduction splits across processes (or CI jobs) and
-// the caches merge by concatenation. Every run also emits a per-phase
-// profile sidecar (docs/OPERATIONS.md documents both the claim protocol
-// and the profile schema).
+// avr_sweep: command-line driver for the paper's (workload x design)
+// sweep. A plain run simulates the whole selected grid; under `--claim`
+// work stealing each invocation simulates whatever points it wins, so a
+// full reproduction splits across processes (or CI jobs). Results go to a
+// writer-safe CSV cache, and caches merge by concatenation. Every run also
+// emits a per-phase profile sidecar (docs/OPERATIONS.md documents both the
+// claim protocol and the profile schema).
 //
 //   avr_sweep --claim --cache sweep.csv &          three cooperating
 //   avr_sweep --claim --cache sweep.csv &          workers splitting the
 //   avr_sweep --claim --cache sweep.csv            grid by work stealing
-//   avr_sweep --shard 1/3 --cache shard1.csv       static slice 1 of 3
+//   avr_sweep --cache single.csv                   the whole grid, one process
 //   avr_sweep --check --cache merged.csv           assert full-grid coverage
 //   avr_sweep --assert-same other.csv --cache a.csv   compare two caches
 #include <chrono>
@@ -34,19 +33,18 @@ namespace {
 
 constexpr const char* kUsage = R"(usage: avr_sweep [options]
 
-Runs (a shard of) the full (workload x design) sweep and appends results to
-the shared CSV cache. Exits nonzero if any point fails.
+Runs the selected (workload x design) sweep and appends results to the
+shared CSV cache. Exits nonzero if any point fails.
 
   --claim            work-stealing mode: claim points one at a time through
                      the shared cache file until the whole grid has results;
                      any number of concurrent --claim processes cooperate
-                     (mutually exclusive with --shard; requires a cache)
+                     (requires a cache). Without it, this process simulates
+                     the whole selected grid
   --claim-lease s    fixed claim lease in seconds (default 0 = adaptive:
                      max(30, 20 x estimated point cost))
   --owner name       claim-owner token, unique per process, comma-free
                      (default <hostname>-<pid>)
-  --shard i/N        static mode: run grid points with canonical index == i
-                     (mod N) (default 0/1: the whole grid)
   --jobs n           thread-pool size (default 0 = hardware concurrency)
   --workloads a,b    comma-separated workload subset (default: all seven)
   --designs x,y      comma-separated design subset, names as printed in the
@@ -68,8 +66,8 @@ the shared CSV cache. Exits nonzero if any point fails.
   --profile          print the per-phase profile summary table on exit
   --profile-out p    profile sidecar JSON path (default
                      <cache>.<owner>.profile.json; "" disables the sidecar)
-  --list             print this shard's points and exit (runs nothing)
-  --check            verify the cache already covers this shard's points and
+  --list             print the selected grid's points and exit (runs nothing)
+  --check            verify the cache already covers the selected grid and
                      audit its claim records; exit 1 listing any missing
                      point (runs nothing)
   --assert-same p    verify the cache and cache file `p` contain the same
@@ -77,7 +75,7 @@ the shared CSV cache. Exits nonzero if any point fails.
                      timing excluded); exit 1 on any difference (runs nothing)
   --fsck             audit every line of the cache file — checksum failures,
                      torn appends, duplicate/conflicting results, stale and
-                     dangling claims, legacy record versions — and print the
+                     dangling claims, foreign record versions — and print the
                      accounting; exit 1 if the cache needs attention (runs
                      nothing)
   --repair           with --fsck: rewrite the cache as a clean current-version
@@ -89,8 +87,6 @@ the shared CSV cache. Exits nonzero if any point fails.
 )";
 
 struct Options {
-  avr::sweep::Shard shard;
-  bool shard_set = false;
   bool claim = false;
   uint64_t claim_lease = 0;
   std::string owner = avr::prof::default_owner();
@@ -123,10 +119,7 @@ Options parse_args(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--shard") {
-      o.shard = avr::sweep::parse_shard(value(i, "--shard"));
-      o.shard_set = true;
-    } else if (a == "--claim") {
+    if (a == "--claim") {
       o.claim = true;
     } else if (a == "--claim-lease") {
       const std::string v = value(i, "--claim-lease");
@@ -182,10 +175,6 @@ Options parse_args(int argc, char** argv) {
       throw std::invalid_argument("unknown flag: " + a);
     }
   }
-  if (o.claim && o.shard_set)
-    throw std::invalid_argument(
-        "--claim and --shard are mutually exclusive (claim mode splits the "
-        "grid dynamically)");
   if (o.claim && o.cache_path.empty())
     throw std::invalid_argument("--claim needs a cache file (claims live in it)");
   if (o.repair && !o.fsck)
@@ -197,7 +186,7 @@ Options parse_args(int argc, char** argv) {
 
 /// --fsck [--repair]: audit (and optionally rewrite) the cache, exit by the
 /// final audit's verdict. Unlike --check this is grid-agnostic — it judges
-/// the file itself, not its coverage of any particular slice.
+/// the file itself, not its coverage of any particular grid.
 int run_fsck(const Options& o) {
   const uint64_t now = static_cast<uint64_t>(std::time(nullptr));
   avr::FsckReport report = avr::fsck_cache(o.cache_path, now);
@@ -250,18 +239,18 @@ std::string variant_suffix(Variant v) {
   return s.empty() ? s : " (" + s.substr(1) + ")";
 }
 
-/// The slice grouped by (t1, methods) variant, preserving point order
+/// The grid grouped by (t1, methods) variant, preserving point order
 /// within a group.
 std::map<Variant, std::vector<avr::sweep::Point>> by_variant(
-    const std::vector<avr::sweep::VariantPoint>& slice) {
+    const std::vector<avr::sweep::VariantPoint>& grid) {
   std::map<Variant, std::vector<avr::sweep::Point>> groups;
-  for (const auto& vp : slice)
+  for (const auto& vp : grid)
     groups[{vp.t1, vp.methods}].push_back(vp.point);
   return groups;
 }
 
 int check_coverage(const Options& o,
-                   const std::vector<avr::sweep::VariantPoint>& slice) {
+                   const std::vector<avr::sweep::VariantPoint>& grid) {
   size_t missing = 0;
   // Claim audit alongside coverage: a claim is *moot* once its point has a
   // result, *dangling* otherwise (its point is also missing, so dangling
@@ -269,7 +258,7 @@ int check_coverage(const Options& o,
   // this check passing).
   size_t claims = 0, dangling = 0;
   const uint64_t now = static_cast<uint64_t>(std::time(nullptr));
-  for (const auto& [variant, points] : by_variant(slice)) {
+  for (const auto& [variant, points] : by_variant(grid)) {
     const uint64_t fp = variant_fingerprint(variant);
     const auto cache = avr::load_result_cache(o.cache_path, fp);
     for (const auto& [key, c] : avr::load_claims(o.cache_path, fp)) {
@@ -292,12 +281,12 @@ int check_coverage(const Options& o,
     std::fprintf(stderr,
                  "%s covers %zu/%zu points (%zu missing, %zu dangling "
                  "claim(s))\n",
-                 o.cache_path.c_str(), slice.size() - missing, slice.size(),
+                 o.cache_path.c_str(), grid.size() - missing, grid.size(),
                  missing, dangling);
     return 1;
   }
   std::printf("%s covers all %zu points (%zu claim record(s), all moot)\n",
-              o.cache_path.c_str(), slice.size(), claims);
+              o.cache_path.c_str(), grid.size(), claims);
   return 0;
 }
 
@@ -363,17 +352,16 @@ int main(int argc, char** argv) {
 
   // The (methods x t1 x workload x design) variant grid; the default --t1
   // and --methods lists ({-1} each) make it exactly the historical
-  // (workload x design) grid. In claim mode every process works the full
-  // grid — the claims do the splitting.
+  // (workload x design) grid. Every process works the full grid; in claim
+  // mode the claims do the splitting.
   const auto grid = sweep::full_variant_grid(o.t1_values, o.methods_values,
                                              o.workloads, o.designs);
-  const auto slice = o.claim ? grid : sweep::shard_slice(grid, o.shard);
   const bool t1_axis = o.t1_values.size() > 1 || o.t1_values[0] >= 0;
   const bool methods_axis =
       o.methods_values.size() > 1 || o.methods_values[0] >= 0;
 
   if (o.list) {
-    for (const auto& [t1, p, methods] : slice) {
+    for (const auto& [t1, p, methods] : grid) {
       if (methods_axis)
         std::printf("%s,", sweep::method_set_name(methods).c_str());
       if (t1_axis || methods_axis) std::printf("%d,", t1);
@@ -381,14 +369,14 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (o.check) return check_coverage(o, slice);
+  if (o.check) return check_coverage(o, grid);
   if (o.assert_same) return check_same(o);
   if (o.fsck) return run_fsck(o);
 
-  // One runner per (t1, methods) variant in this slice: each loads and
+  // One runner per (t1, methods) variant in the grid: each loads and
   // appends only records carrying its own config fingerprint, so all
   // variants share the one cache file.
-  const auto groups = by_variant(slice);
+  const auto groups = by_variant(grid);
   size_t warm = 0;
   std::vector<std::pair<Variant, std::unique_ptr<ExperimentRunner>>> runners;
   for (const auto& [variant, points] : groups) {
@@ -408,10 +396,9 @@ int main(int argc, char** argv) {
                  o.cache_path.c_str());
   else
     std::fprintf(stderr,
-                 "[sweep] shard %u/%u: %zu of %zu grid points (%zu cached, "
+                 "[sweep] single process: %zu grid points (%zu cached, "
                  "%zu variant(s)), %u jobs, cache=%s\n",
-                 o.shard.index, o.shard.count, slice.size(), grid.size(), warm,
-                 groups.size(), o.jobs,
+                 grid.size(), warm, groups.size(), o.jobs,
                  o.cache_path.empty() ? "<disabled>" : o.cache_path.c_str());
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -444,7 +431,7 @@ int main(int argc, char** argv) {
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  // The shard cache IS this process's output: results that only exist in
+  // The cache IS this process's output: results that only exist in
   // memory are lost when it exits, so persistence failures are fatal here
   // (unlike in the figure benches, which still print their tables).
   if (!o.cache_path.empty() && write_failures > 0) {
@@ -459,7 +446,7 @@ int main(int argc, char** argv) {
   // nobody asked for the table.
   prof::Report report;
   report.owner = o.owner;
-  report.mode = o.claim ? "claim" : "shard";
+  report.mode = o.claim ? "claim" : "single";
   report.simd = simd_level_name(simd_level());
   report.wall_seconds = secs;
   report.aggregate = steal.sched;
@@ -492,8 +479,7 @@ int main(int argc, char** argv) {
         o.owner.c_str(), steal.simulated, steal.reclaimed, steal.done_elsewhere,
         secs);
   else
-    std::printf("[sweep] shard %u/%u done: %zu points (%zu simulated) in %.1fs\n",
-                o.shard.index, o.shard.count, slice.size(), slice.size() - warm,
-                secs);
+    std::printf("[sweep] single done: %zu points (%zu simulated) in %.1fs\n",
+                grid.size(), grid.size() - warm, secs);
   return 0;
 }

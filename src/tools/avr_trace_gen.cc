@@ -10,7 +10,7 @@
 //               seconds, not a simulation):
 //                 avr_trace_gen --out kmeans.trace --record kmeans --limit 1000000
 //
-// Output is deterministic for a given flag tuple, so CI shards can each
+// Output is deterministic for a given flag tuple, so CI jobs can each
 // regenerate an identical trace instead of shipping it between jobs.
 #include <algorithm>
 #include <cstdio>

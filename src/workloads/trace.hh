@@ -1,7 +1,7 @@
 // The `trace:<path>` workload: replays a recorded access stream (binary
 // trace format v1, src/trace/trace_format.hh) through the RegionHandle
 // runtime API, so every trace file is a first-class sweep point —
-// shardable, cacheable, `--check`- and `--assert-same`-able like the seven
+// claimable, cacheable, `--check`- and `--assert-same`-able like the seven
 // hand-written kernels.
 #pragma once
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/simd.hh"
 #include "harness/fsck.hh"
 #include "harness/result_cache.hh"
 
@@ -69,6 +70,17 @@ std::string legacy_line(const std::string& v5, int v) {
   return std::to_string(v) + "," + v5.substr(payload_offset(v5));
 }
 
+/// Frames `payload` as a v5 record with a correct length and CRC, so
+/// whatever is wrong with the payload gets past the framing checks.
+std::string reframe_v5(const std::string& payload) {
+  const uint32_t crc = ~simd::kernels().crc32c_update(
+      0xFFFFFFFFu, reinterpret_cast<const uint8_t*>(payload.data()),
+      payload.size());
+  char head[48];
+  std::snprintf(head, sizeof(head), "5,L%zu,C%08x,", payload.size(), crc);
+  return head + payload;
+}
+
 /// Classification + quarantine reason for one line.
 CacheLineKind classify(const std::string& line, std::string* reason = nullptr) {
   ExperimentResult r;
@@ -83,12 +95,9 @@ TEST(CacheV5, WellFormedLineRoundTrips) {
   const std::string line = encode_result_line(r);
   EXPECT_EQ(line.substr(0, 2), "5,");
   EXPECT_EQ(line[2], 'L');
-  int version = 0;
   ExperimentResult back;
   ClaimRecord c;
-  EXPECT_EQ(classify_cache_line(line, &back, &c, nullptr, &version),
-            CacheLineKind::kResult);
-  EXPECT_EQ(version, 5);
+  EXPECT_EQ(classify_cache_line(line, &back, &c), CacheLineKind::kResult);
   EXPECT_EQ(encode_result_line(back), line);
 }
 
@@ -113,14 +122,6 @@ TEST(CacheV5, FlippedPayloadByteThatStillParsesIsCaught) {
   std::string reason;
   EXPECT_EQ(classify(line, &reason), CacheLineKind::kCorrupt);
   EXPECT_NE(reason.find("crc mismatch"), std::string::npos) << reason;
-  // Sanity: the same wound on a v4 line sails through undetected — the
-  // motivation for v5 in one assertion.
-  std::string v4 = legacy_line(encode_result_line(
-      sample_result("wrf", Design::kAvr, 3)), 4);
-  const size_t cyc4 = v4.find(",1003,");
-  ASSERT_NE(cyc4, std::string::npos);
-  v4[cyc4 + 1] = '9';
-  EXPECT_EQ(classify(v4), CacheLineKind::kResult);
 }
 
 TEST(CacheV5, EveryTruncationIsRejected) {
@@ -161,60 +162,57 @@ TEST(CacheV5, OversizedFieldsAreRejectedNotOverflowed) {
   line.insert(lpos, "99999999999999999");
   std::string reason;
   EXPECT_EQ(classify(line, &reason), CacheLineKind::kCorrupt) << reason;
-  // A 100-digit numeric field in a legacy v4 line (no CRC in front of the
-  // parser there): the payload parser's own range check must reject it.
-  std::string v4 = legacy_line(encode_result_line(r), 4);
-  const size_t cyc = v4.find(",1007,");
+  // A 100-digit numeric field under a valid length and CRC: the framing
+  // passes, so the payload parser's own range check must reject it.
+  line = encode_result_line(r);
+  std::string payload = line.substr(payload_offset(line));
+  const size_t cyc = payload.find(",1007,");
   ASSERT_NE(cyc, std::string::npos);
-  v4.replace(cyc + 1, 4, std::string(100, '7'));
-  EXPECT_FALSE(decode_result_line(v4, &out));
+  payload.replace(cyc + 1, 4, std::string(100, '7'));
+  EXPECT_FALSE(decode_result_line(reframe_v5(payload), &out));
+  EXPECT_EQ(classify(reframe_v5(payload), &reason), CacheLineKind::kCorrupt);
+  EXPECT_NE(reason.find("corrupt result payload"), std::string::npos)
+      << reason;
 }
 
-TEST(CacheV5, SplicedMixedVersionFileLoadsEveryValidRecord) {
-  // A cache that grew across three format epochs: v3 and v4 lines (written
-  // by old binaries) plus current v5 — all must load from one file.
-  const std::string path = temp_path("splice");
+TEST(CacheV5, OlderVersionLinesAreForeign) {
+  // Only v5 decodes: v2-v4 lines (unframed, written by older binaries) are
+  // foreign, never results and never quarantine material.
+  const std::string path = temp_path("oldver");
   std::remove(path.c_str());
-  const ExperimentResult a = sample_result("heat", Design::kBaseline, 1);
-  const ExperimentResult b = sample_result("wrf", Design::kAvr, 2);
-  const ExperimentResult c = sample_result("kmeans", Design::kTruncate, 3);
+  const ExperimentResult old_a = sample_result("heat", Design::kBaseline, 1);
+  const ExperimentResult old_b = sample_result("wrf", Design::kAvr, 2);
+  const ExperimentResult old_c = sample_result("lattice", Design::kAvr, 3);
+  const ExperimentResult cur = sample_result("kmeans", Design::kTruncate, 4);
   {
     std::ofstream out(path);
-    out << legacy_line(encode_result_line(a), 3) << '\n';  // v3
-    out << legacy_line(encode_result_line(b), 4) << '\n';  // v4
-    out << encode_result_line(c) << '\n';                  // v5
-    out << "6,L10,Cdeadbeef,future,stuff,end#\n";          // future: foreign
+    out << legacy_line(encode_result_line(old_a), 2) << '\n';  // v2
+    out << legacy_line(encode_result_line(old_b), 3) << '\n';  // v3
+    out << legacy_line(encode_result_line(old_c), 4) << '\n';  // v4
+    out << encode_result_line(cur) << '\n';                    // v5
   }
+  testing::internal::CaptureStderr();
   const auto cache = load_result_cache(path);
-  ASSERT_EQ(cache.size(), 3u);
-  EXPECT_EQ(encode_result_line(cache.at({"heat", Design::kBaseline})),
-            encode_result_line(a));
-  EXPECT_EQ(encode_result_line(cache.at({"wrf", Design::kAvr})),
-            encode_result_line(b));
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_EQ(encode_result_line(cache.at({"kmeans", Design::kTruncate})),
+            encode_result_line(cur));
+  EXPECT_EQ(err.find("quarantined"), std::string::npos) << err;
+
+  const FsckReport r = fsck_cache(path, 0);
+  EXPECT_EQ(r.foreign_lines, 3u);
+  EXPECT_EQ(r.results, 1u);
+  EXPECT_TRUE(r.corrupt.empty());
+  EXPECT_FALSE(r.has_issues());
+
+  std::string error;
+  ASSERT_TRUE(repair_cache(path, 0, &error)) << error;
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], encode_result_line(cur));
   std::remove(path.c_str());
-}
-
-TEST(CacheV5, V2LinesStillDecode) {
-  // v2: no config_hash field; decodes with the default fingerprint.
-  const ExperimentResult r = sample_result("lattice", Design::kAvr, 8);
-  std::string v2 = legacy_line(encode_result_line(r), 2);
-  // Drop the config_hash (3rd payload field => 4th line field).
-  size_t p = 0;
-  for (int i = 0; i < 3; ++i) p = v2.find(',', p) + 1;
-  v2.erase(p, v2.find(',', p) + 1 - p);
-  ExperimentResult back;
-  ASSERT_TRUE(decode_result_line(v2, &back));
-  EXPECT_EQ(back.config_hash, config_fingerprint(SimConfig{}));
-  EXPECT_EQ(back.m.cycles, r.m.cycles);
-}
-
-TEST(CacheV5, LegacyLineMissingSentinelIsQuarantined) {
-  std::string v4 = legacy_line(
-      encode_result_line(sample_result("heat", Design::kAvr, 9)), 4);
-  std::string reason;
-  EXPECT_EQ(classify(v4.substr(0, v4.size() - 5), &reason),
-            CacheLineKind::kCorrupt);
-  EXPECT_NE(reason.find("end#"), std::string::npos) << reason;
 }
 
 TEST(CacheV5, ClaimRoundTripAndCorruptClaim) {
@@ -316,7 +314,8 @@ WoundedCache make_wounded(const std::string& tag, uint64_t now) {
   w.live_b = sample_result("wrf", Design::kTruncate, 2);
   w.live_claim = sample_claim("kmeans", Design::kAvr, "alive", now, 3600);
   std::ofstream out(w.path);
-  out << legacy_line(encode_result_line(w.live_a), 4) << '\n';   // legacy v4
+  out << legacy_line(encode_result_line(w.live_a), 4) << '\n';   // old v4
+  out << encode_result_line(w.live_a) << '\n';
   out << encode_result_line(w.live_a) << '\n';        // duplicate (identical)
   out << encode_result_line(w.live_b) << '\n';
   out << '\n';                                                   // blank
@@ -344,16 +343,14 @@ TEST(CacheFsck, AccountsForEveryWound) {
   const WoundedCache w = make_wounded("fsck", now);
   const FsckReport r = fsck_cache(w.path, now);
   EXPECT_TRUE(r.io_error.empty());
-  EXPECT_EQ(r.total_lines, 10u);
+  EXPECT_EQ(r.total_lines, 11u);
   EXPECT_EQ(r.blank_lines, 1u);
-  EXPECT_EQ(r.foreign_lines, 1u);
-  EXPECT_EQ(r.result_versions.at(4), 1u);
-  EXPECT_EQ(r.result_versions.at(5), 2u);
-  EXPECT_EQ(r.legacy_results(), 1u);
+  EXPECT_EQ(r.foreign_lines, 2u);  // the old v4 line and the future one
+  EXPECT_EQ(r.results, 3u);
   EXPECT_EQ(r.duplicate_results, 1u);
   EXPECT_EQ(r.conflicting_results, 0u);
   ASSERT_EQ(r.corrupt.size(), 1u);
-  EXPECT_EQ(r.corrupt[0].line_no, 6u);
+  EXPECT_EQ(r.corrupt[0].line_no, 7u);
   EXPECT_EQ(r.claims, 4u);
   EXPECT_EQ(r.superseded_claims, 1u);
   EXPECT_EQ(r.moot_claims, 1u);
@@ -421,9 +418,9 @@ TEST(CacheFsck, RepairHealsEveryWoundAndPreservesValues) {
   const FsckReport post = fsck_cache(w.path, now);
   EXPECT_FALSE(post.has_issues());
   EXPECT_FALSE(post.needs_repair());
-  // All-v5 now: the legacy v4 record was re-encoded under the checksum.
-  EXPECT_EQ(post.result_versions.size(), 1u);
-  EXPECT_EQ(post.result_versions.at(kResultCacheVersion), 2u);
+  // Only the two v5 results remain; both foreign lines were dropped.
+  EXPECT_EQ(post.results, 2u);
+  EXPECT_EQ(post.foreign_lines, 0u);
   EXPECT_EQ(post.claims, 1u);
   EXPECT_EQ(post.dangling_live, 1u);  // the live worker's claim survived
 

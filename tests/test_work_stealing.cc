@@ -1,11 +1,14 @@
-// Claim-based work-stealing tests: the v4 claim-record grammar, the
+// Claim-based work-stealing tests: the v5 claim-record grammar, the
 // try_claim_point state machine (fresh / busy / expired / done), the
-// makespan advantage over static round-robin shards on the committed seed
+// makespan advantage over a static round-robin split on the committed seed
 // costs, and the end-to-end acceptance paths — three concurrent --claim
 // processes produce a cache identical to a single-process sweep, including
-// after one of them is SIGKILLed mid-run and its claims expire.
+// after one of them is SIGKILLed mid-run and its claims expire; --claim
+// workers sweeping --t1 variants share one cache; and a plain (claim-free)
+// avr_sweep process covers its whole grid.
 #include "harness/result_cache.hh"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -172,9 +175,9 @@ TEST(TryClaimPoint, StateMachine) {
 
 // Work stealing drains points longest-first into whichever worker is free —
 // the classic LPT schedule. On the committed seed-cost mix its makespan must
-// beat the static --shard i/N round-robin slices, which pin each point to a
-// shard no matter how the costs land. This is the deterministic core of the
-// "3-process claim sweep beats 3 static shards" acceptance criterion.
+// beat a static round-robin split (point i to worker i mod N), which pins
+// each point to a worker no matter how the costs land. This is the
+// deterministic case for splitting the sweep by claims.
 TEST(WorkStealing, LptBeatsStaticShardsOnSeedCosts) {
   ExperimentRunner runner({}, /*verbose=*/false, /*cache_path=*/"");
   const auto grid =
@@ -188,7 +191,7 @@ TEST(WorkStealing, LptBeatsStaticShardsOnSeedCosts) {
       << "seed costs not loaded? AVR_SEED_COSTS=" << std::getenv("AVR_SEED_COSTS");
 
   constexpr unsigned kShards = 3;
-  // Static: shard i owns points with canonical index == i (mod N).
+  // Static: worker i owns points with canonical index == i (mod N).
   double static_makespan = 0;
   for (unsigned s = 0; s < kShards; ++s) {
     double sum = 0;
@@ -221,9 +224,16 @@ std::string sweep_binary() {
   return bin ? bin : "";
 }
 
-pid_t spawn_sweep(const std::vector<std::string>& args) {
+/// Forks and execs `args`; a non-empty `stderr_path` captures the child's
+/// stderr in that file.
+pid_t spawn_sweep(const std::vector<std::string>& args,
+                  const std::string& stderr_path = "") {
   const pid_t pid = fork();
   if (pid != 0) return pid;
+  if (!stderr_path.empty()) {
+    const int fd = ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0 || ::dup2(fd, STDERR_FILENO) < 0) _exit(126);
+  }
   std::vector<char*> argv;
   for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
   argv.push_back(nullptr);
@@ -257,8 +267,8 @@ TEST(WorkStealing, ThreeClaimProcessesMatchSingleProcessSweep) {
           .string();
   std::remove(cache.c_str());
 
-  // Same sub-grid as the static-shard e2e (6 points, AVR included) — but no
-  // i/N slices: all three workers race for the whole grid through claims.
+  // A small but representative sub-grid (6 points, AVR included): all three
+  // workers race for the whole grid through claims.
   const std::string workloads = "kmeans,bscholes";
   const std::string designs = "baseline,truncate,AVR";
   std::vector<pid_t> pids;
@@ -294,6 +304,98 @@ TEST(WorkStealing, ThreeClaimProcessesMatchSingleProcessSweep) {
     EXPECT_NE(text.find(simd), std::string::npos);
     std::remove(sidecar.c_str());
   }
+  std::remove(cache.c_str());
+}
+
+TEST(WorkStealing, T1VariantClaimWorkersCoexistInOneCache) {
+  const std::string bin = sweep_binary();
+  if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
+
+  const std::string cache =
+      (std::filesystem::temp_directory_path() /
+       ("avr_t1_e2e_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  std::remove(cache.c_str());
+
+  // Two --t1 variants of one cheap AVR point, claimed by two concurrent
+  // worker processes appending to ONE cache file.
+  std::vector<pid_t> pids;
+  for (int i = 0; i < 2; ++i)
+    pids.push_back(spawn_sweep({bin, "--claim", "--owner",
+                                "t1w" + std::to_string(i), "--t1", "4,6",
+                                "--workloads", "bscholes", "--designs", "AVR",
+                                "--cache", cache, "--profile-out", "",
+                                "--jobs", "1", "--quiet"}));
+  for (pid_t pid : pids) {
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
+
+  // Each variant's record is keyed by its own config fingerprint, and both
+  // match an in-process runner simulating under the same forced threshold.
+  for (int t1 : {4, 6}) {
+    const auto records =
+        load_result_cache(cache, config_fingerprint(sweep::variant_config(t1)));
+    ASSERT_EQ(records.size(), 1u) << "t1=" << t1;
+    ASSERT_TRUE(records.count({"bscholes", Design::kAvr}));
+    ExperimentRunner runner(sweep::variant_config(t1), /*verbose=*/false,
+                            /*cache_path=*/"");
+    ExperimentResult got = records.at({"bscholes", Design::kAvr});
+    ExperimentResult want = runner.run("bscholes", Design::kAvr);
+    got.wall_seconds = 0;
+    want.wall_seconds = 0;
+    EXPECT_EQ(encode_result_line(got), encode_result_line(want)) << "t1=" << t1;
+  }
+  // The default-config grid must see none of the variant records.
+  EXPECT_TRUE(
+      load_result_cache(cache, config_fingerprint(SimConfig{})).empty());
+  std::remove(cache.c_str());
+}
+
+TEST(WorkStealing, PlainSweepCoversItsWholeGrid) {
+  const std::string bin = sweep_binary();
+  if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
+
+  const std::string cache =
+      (std::filesystem::temp_directory_path() /
+       ("avr_plain_e2e_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  const std::string sidecar = cache + ".profile.json";
+  std::remove(cache.c_str());
+
+  // No --claim: one process simulates every point of its selection.
+  int status = 0;
+  const pid_t pid = spawn_sweep({bin, "--workloads", "kmeans,bscholes",
+                                 "--designs", "baseline", "--cache", cache,
+                                 "--profile-out", sidecar, "--jobs", "1",
+                                 "--quiet"});
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  assert_matches_single_process_sweep(
+      cache, sweep::full_grid({"kmeans", "bscholes"}, {Design::kBaseline}));
+
+  std::ifstream in(sidecar);
+  ASSERT_TRUE(in.good()) << sidecar;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("\"mode\":\"single\""), std::string::npos) << text;
+  std::remove(sidecar.c_str());
+  std::remove(cache.c_str());
+
+  // --shard is not a flag: a usage error, exit 2.
+  const std::string err_path = cache + ".stderr";
+  const pid_t bad = spawn_sweep({bin, "--shard", "0/1", "--cache", cache}, err_path);
+  ASSERT_EQ(waitpid(bad, &status, 0), bad);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  std::ifstream err_in(err_path);
+  const std::string err((std::istreambuf_iterator<char>(err_in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(err.find("unknown flag: --shard"), std::string::npos) << err;
+  std::remove(err_path.c_str());
   std::remove(cache.c_str());
 }
 
