@@ -1,7 +1,7 @@
 // RAII advisory file lock: opens (creating if needed) `path` and takes a
-// blocking exclusive flock(2) on it. Used to serialize *processes* appending
-// to the shared result cache; threads within one process are serialized by
-// the runner's mutex, so the flock only ever blocks against other processes.
+// blocking exclusive flock(2) on it. Used to serialize writers of the
+// shared result cache. Every FileLock opens its own file description, so
+// the flock serializes threads of one process as well as processes.
 //
 // flock is advisory: every writer must go through this helper. The lock is
 // released (and the fd closed) on destruction, including on exceptions.
@@ -16,10 +16,20 @@
 // Fault site "lock.acquire" (common/fault_inject.hh) sits between open and
 // flock: injected eintr re-enters the retry loop, eio/enospc/timeout fail
 // the acquire with the matching errno, kill dies waiting for the lock.
+//
+// Identity re-check: a lock only counts once the locked fd still names the
+// file at `path`. A process that opened the path before another holder
+// renamed a replacement into place (`avr_sweep --fsck --repair`) or
+// unlinked it would otherwise win the flock on the old, now nameless inode
+// and append into a file nobody reads again. After flock succeeds the
+// constructor compares fstat(fd) with stat(path); if (st_dev, st_ino)
+// differ or the path is gone, it closes the fd and runs one more acquire
+// round on the current file.
 #pragma once
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -38,37 +48,41 @@ class FileLock {
   /// held, and error()/failed_step() describe the failure; the caller
   /// decides whether that is fatal.
   explicit FileLock(const std::string& path, int oflags = O_RDWR | O_CREAT) {
-    do {
-      fd_ = ::open(path.c_str(), oflags | O_CLOEXEC, 0644);
-    } while (fd_ < 0 && errno == EINTR);
-    if (fd_ < 0) {
-      errno_ = errno;
-      step_ = "open";
-      return;
-    }
     for (;;) {
-      switch (fault::fire(fault::Site::kLockAcquire)) {
-        case fault::Kind::kNone:
-          break;
-        case fault::Kind::kEintr:
-          continue;  // one injected EINTR round through this loop
-        case fault::Kind::kKill:
-          fault::kill_now(fault::Site::kLockAcquire);
-        case fault::Kind::kTimeout:
-          fail_acquire(ETIMEDOUT);
-          return;
-        case fault::Kind::kEnospc:
-          fail_acquire(ENOSPC);
-          return;
-        default:  // short_write / eio: a hard I/O error on the lock path
-          fail_acquire(EIO);
-          return;
-      }
-      if (::flock(fd_, LOCK_EX) == 0) break;
-      if (errno != EINTR) {
-        fail_acquire(errno);
+      do {
+        fd_ = ::open(path.c_str(), oflags | O_CLOEXEC, 0644);
+      } while (fd_ < 0 && errno == EINTR);
+      if (fd_ < 0) {
+        errno_ = errno;
+        step_ = "open";
         return;
       }
+      for (;;) {
+        switch (fault::fire(fault::Site::kLockAcquire)) {
+          case fault::Kind::kNone:
+            break;
+          case fault::Kind::kEintr:
+            continue;  // one injected EINTR round through this loop
+          case fault::Kind::kKill:
+            fault::kill_now(fault::Site::kLockAcquire);
+          case fault::Kind::kTimeout:
+            fail_acquire(ETIMEDOUT);
+            return;
+          case fault::Kind::kEnospc:
+            fail_acquire(ENOSPC);
+            return;
+          default:  // short_write / eio: a hard I/O error on the lock path
+            fail_acquire(EIO);
+            return;
+        }
+        if (::flock(fd_, LOCK_EX) == 0) break;
+        if (errno != EINTR) {
+          fail_acquire(errno);
+          return;
+        }
+      }
+      if (names_path(path)) return;
+      release();  // locked a replaced or unlinked inode: reopen the path
     }
   }
 
@@ -134,6 +148,15 @@ class FileLock {
   }
 
  private:
+  /// True when the locked fd is still the file at `path`. A failed fstat
+  /// (never seen in practice) keeps the lock rather than spin.
+  bool names_path(const std::string& path) const {
+    struct stat held, named;
+    if (::fstat(fd_, &held) != 0) return true;
+    if (::stat(path.c_str(), &named) != 0) return errno != ENOENT;
+    return held.st_dev == named.st_dev && held.st_ino == named.st_ino;
+  }
+
   void fail_acquire(int err) {
     ::close(fd_);
     fd_ = -1;

@@ -17,7 +17,8 @@ constexpr const char* kPhaseNames[kNumPhases] = {
     "setup", "functional", "timing", "compress", "cache_io", "bdi"};
 constexpr const char* kCounterNames[kNumCounters] = {
     "points_simulated", "cache_hits",       "cache_appends",
-    "claims_won",       "claims_reclaimed", "claims_lost"};
+    "claims_won",       "claims_reclaimed", "claims_lost",
+    "claim_rescans",    "claim_bytes_parsed"};
 
 void append_json_escaped(std::string& out, const std::string& s) {
   for (char c : s) {

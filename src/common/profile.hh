@@ -59,8 +59,12 @@ enum class Counter : uint32_t {
   kClaimsWon,            // work-stealing: fresh claims this process won
   kClaimsReclaimed,      // claims won by superseding an expired claim
   kClaimsLost,           // claim attempts that found a live foreign claim
+  kClaimRescans,         // claim-index parses restarted from byte 0 after
+                         //   the cache was replaced, shrunk or rewritten
+                         //   (a process's first parse is not counted)
+  kClaimBytesParsed,     // cache bytes the claim index classified
 };
-inline constexpr size_t kNumCounters = 6;
+inline constexpr size_t kNumCounters = 8;
 
 /// Stable lower-case identifier for a phase (JSON keys / table rows).
 const char* phase_name(Phase p);

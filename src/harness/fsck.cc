@@ -144,7 +144,9 @@ void print_fsck_report(std::FILE* out, const std::string& path,
 bool repair_cache(const std::string& path, uint64_t now, std::string* error) {
   // Under the cache flock: writers are serialized out while we read and
   // swap the file, so no concurrent append can fall between scan and
-  // rename. (Writers re-open per append, so they pick up the new inode.)
+  // rename. A writer already blocked on the old inode finds, once it gets
+  // the flock, that the path names another file, and FileLock re-opens the
+  // path, so its record lands in the repaired cache.
   FileLock lock = FileLock::acquire_with_retry(path, O_RDWR);
   if (!lock.ok()) {
     *error = "cannot lock " + path + ": " + lock.error_detail();

@@ -3,13 +3,17 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/backoff.hh"
@@ -274,6 +278,136 @@ bool append_line_locked(const FileLock& lock, std::string line,
   return true;
 }
 
+/// Classifies each line of `buf` in file order and hands it to
+/// `fold(kind, result, claim, reason)`. Only '\n'-terminated lines are
+/// taken, unless `whole_file` also takes an unterminated last line, as a
+/// full load does. Returns the number of bytes taken.
+template <class Fold>
+size_t fold_lines(std::string_view buf, bool whole_file, Fold&& fold) {
+  size_t pos = 0;
+  std::string line;
+  while (pos < buf.size()) {
+    size_t end = buf.find('\n', pos);
+    if (end == std::string_view::npos) {
+      if (!whole_file) break;
+      end = buf.size();
+    }
+    line.assign(buf.substr(pos, end - pos));
+    ExperimentResult r;
+    ClaimRecord c;
+    std::string reason;
+    const CacheLineKind kind = classify_cache_line(line, &r, &c, &reason);
+    fold(kind, r, c, reason);
+    pos = end + 1;
+  }
+  return std::min(pos, buf.size());
+}
+
+/// Reads the whole file for a full load. False (errno from the open) when
+/// it cannot be opened.
+bool read_whole_file(const std::string& path, std::string* out) {
+  errno = 0;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  *out = std::move(ss).str();
+  return true;
+}
+
+/// Reads exactly `n` bytes at `off`; false on an I/O error or early EOF.
+bool pread_exact(int fd, uint64_t off, size_t n, std::string* out) {
+  out->resize(n);
+  size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::pread(fd, out->data() + got, n - got,
+                              static_cast<off_t>(off + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) return false;
+    got += static_cast<size_t>(r);
+  }
+  return true;
+}
+
+// ---- claim index -----------------------------------------------------------
+
+/// A point as claims address it: (workload, design, config_hash).
+using PointId = std::tuple<std::string, Design, uint64_t>;
+
+/// What the indexed prefix of the file says about one point.
+struct PointState {
+  bool done = false;                 // a result exists
+  std::optional<ClaimRecord> claim;  // the last claim in file order
+};
+
+/// How many bytes before the parse offset are kept to notice a file that
+/// was rewritten in place (or recreated on a reused inode number) but is
+/// still at least as long as what was indexed.
+constexpr size_t kTailCheckBytes = 64;
+
+/// One process's parse state for one cache path: every complete line in
+/// [0, offset) of the file (dev, ino), folded per point, plus the bytes
+/// ending at `offset`.
+struct ClaimIndex {
+  dev_t dev = 0;
+  ino_t ino = 0;
+  uint64_t offset = 0;
+  std::string tail;
+  std::map<PointId, PointState> points;
+};
+
+struct ClaimIndexes {
+  std::mutex mu;  // taken after the cache flock, never before
+  std::map<std::string, ClaimIndex> by_path;
+};
+
+ClaimIndexes& claim_indexes() {
+  static ClaimIndexes indexes;
+  return indexes;
+}
+
+/// Brings `ix` up to date with the flock-held file `fd`: folds the complete
+/// lines appended since the last call, after restarting from byte 0 if the
+/// file is not the one indexed (other inode, shorter, or different bytes
+/// before the offset). False on a read error, with `ix` reset.
+bool refresh_claim_index(ClaimIndex& ix, int fd) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return false;
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  bool same = st.st_dev == ix.dev && st.st_ino == ix.ino && size >= ix.offset;
+  if (same && !ix.tail.empty()) {
+    std::string now;
+    same = pread_exact(fd, ix.offset - ix.tail.size(), ix.tail.size(), &now) &&
+           now == ix.tail;
+  }
+  if (!same) {
+    if (ix.offset > 0) prof::count(prof::Counter::kClaimRescans);
+    ix = ClaimIndex{};
+    ix.dev = st.st_dev;
+    ix.ino = st.st_ino;
+  }
+  std::string fresh;
+  if (!pread_exact(fd, ix.offset, size - ix.offset, &fresh)) {
+    ix = ClaimIndex{};
+    return false;
+  }
+  const size_t taken = fold_lines(
+      fresh, /*whole_file=*/false,
+      [&ix](CacheLineKind kind, ExperimentResult& r, ClaimRecord& c,
+            const std::string&) {
+        if (kind == CacheLineKind::kResult)
+          ix.points[{r.workload, r.design, r.config_hash}].done = true;
+        else if (kind == CacheLineKind::kClaim)
+          ix.points[{c.workload, c.design, c.config_hash}].claim = std::move(c);
+      });
+  prof::count(prof::Counter::kClaimBytesParsed, taken);
+  ix.offset += taken;
+  ix.tail.append(fresh, 0, taken);
+  if (ix.tail.size() > kTailCheckBytes)
+    ix.tail.erase(0, ix.tail.size() - kTailCheckBytes);
+  return true;
+}
+
 }  // namespace
 
 CacheLineKind classify_cache_line(const std::string& line,
@@ -466,9 +600,8 @@ std::map<ResultKey, ExperimentResult> load_result_cache(
                    kIoRetryAttempts);
       continue;
     }
-    errno = 0;
-    std::ifstream in(path);
-    if (!in) {
+    std::string buf;
+    if (!read_whole_file(path, &buf)) {
       if (errno == ENOENT) return out;  // no cache yet: a cold start
       std::fprintf(stderr,
                    "[cache] transient open failure on %s (%s), attempt "
@@ -477,28 +610,27 @@ std::map<ResultKey, ExperimentResult> load_result_cache(
                    kIoRetryAttempts);
       continue;
     }
-    std::string line;
     size_t line_no = 0;
     size_t quarantined = 0;
-    while (std::getline(in, line)) {
-      ++line_no;
-      ExperimentResult r;
-      ClaimRecord c;
-      std::string reason;
-      switch (classify_cache_line(line, &r, &c, &reason)) {
-        case CacheLineKind::kResult:
-          if (config_filter && r.config_hash != *config_filter) break;
-          out[ResultKey{r.workload, r.design}] = std::move(r);
-          break;
-        case CacheLineKind::kCorrupt:
-          if (++quarantined <= kMaxQuarantineWarnings)
-            std::fprintf(stderr, "[cache] quarantined %s:%zu: %s\n",
-                         path.c_str(), line_no, reason.c_str());
-          break;
-        default:  // blank / claim / foreign: not result material
-          break;
-      }
-    }
+    fold_lines(buf, /*whole_file=*/true,
+               [&](CacheLineKind kind, ExperimentResult& r, ClaimRecord&,
+                   const std::string& reason) {
+                 ++line_no;
+                 switch (kind) {
+                   case CacheLineKind::kResult:
+                     if (config_filter && r.config_hash != *config_filter)
+                       break;
+                     out[ResultKey{r.workload, r.design}] = std::move(r);
+                     break;
+                   case CacheLineKind::kCorrupt:
+                     if (++quarantined <= kMaxQuarantineWarnings)
+                       std::fprintf(stderr, "[cache] quarantined %s:%zu: %s\n",
+                                    path.c_str(), line_no, reason.c_str());
+                     break;
+                   default:  // blank / claim / foreign: not result material
+                     break;
+                 }
+               });
     if (quarantined > kMaxQuarantineWarnings)
       std::fprintf(stderr,
                    "[cache] ... and %zu more quarantined lines in %s (run "
@@ -517,16 +649,16 @@ std::map<ResultKey, ClaimRecord> load_claims(
     const std::string& path, std::optional<uint64_t> config_filter) {
   AVR_PROF_SCOPE(prof::Phase::kCacheIo);
   std::map<ResultKey, ClaimRecord> out;
-  std::ifstream in(path);
-  if (!in) return out;
-  std::string line;
-  while (std::getline(in, line)) {
-    ClaimRecord c;
-    if (!decode_claim_line(line, &c)) continue;
-    if (config_filter && c.config_hash != *config_filter) continue;
-    ResultKey key{c.workload, c.design};
-    out[key] = std::move(c);  // later records supersede earlier ones
-  }
+  std::string buf;
+  if (!read_whole_file(path, &buf)) return out;
+  fold_lines(buf, /*whole_file=*/true,
+             [&](CacheLineKind kind, ExperimentResult&, ClaimRecord& c,
+                 const std::string&) {
+               if (kind != CacheLineKind::kClaim) return;
+               if (config_filter && c.config_hash != *config_filter) return;
+               // Later records supersede earlier ones.
+               out[ResultKey{c.workload, c.design}] = std::move(c);
+             });
   return out;
 }
 
@@ -534,8 +666,10 @@ ClaimOutcome try_claim_point(const std::string& path, const ClaimRecord& want,
                              uint64_t now) {
   AVR_PROF_SCOPE(prof::Phase::kCacheIo);
   // Read-modify-append under the same exclusive flock the writers use: no
-  // other process can append a result or claim between our scan and our
-  // claim line, so exactly one owner wins a fresh claim on a point.
+  // other process can append a result or claim between our read and our
+  // claim line, so exactly one owner wins a fresh claim on a point. The
+  // read is incremental: this process's index for the path folds only the
+  // lines appended since its last attempt.
   FileLock lock =
       FileLock::acquire_with_retry(path, O_RDWR | O_CREAT | O_APPEND);
   if (!lock.ok()) {
@@ -544,37 +678,20 @@ ClaimOutcome try_claim_point(const std::string& path, const ClaimRecord& want,
     return ClaimOutcome::kError;
   }
 
-  bool done = false;
-  bool have_claim = false;
-  ClaimRecord governing;
+  PointState point;
   {
-    std::ifstream in(path);
-    if (!in) return ClaimOutcome::kError;
-    std::string line;
-    while (std::getline(in, line)) {
-      ExperimentResult r;
-      ClaimRecord c;
-      switch (classify_cache_line(line, &r, &c)) {
-        case CacheLineKind::kResult:
-          if (r.workload == want.workload && r.design == want.design &&
-              r.config_hash == want.config_hash)
-            done = true;
-          break;
-        case CacheLineKind::kClaim:
-          if (c.workload == want.workload && c.design == want.design &&
-              c.config_hash == want.config_hash) {
-            governing = std::move(c);  // last claim in file order governs
-            have_claim = true;
-          }
-          break;
-        default:
-          break;
-      }
-    }
+    ClaimIndexes& indexes = claim_indexes();
+    std::lock_guard<std::mutex> guard(indexes.mu);
+    ClaimIndex& ix = indexes.by_path[path];
+    if (!refresh_claim_index(ix, lock.fd())) return ClaimOutcome::kError;
+    const auto it =
+        ix.points.find(PointId{want.workload, want.design, want.config_hash});
+    if (it != ix.points.end()) point = it->second;
   }
-  if (done) return ClaimOutcome::kDone;
-  if (have_claim && !governing.expired(now)) {
-    if (governing.owner == want.owner) return ClaimOutcome::kClaimed;
+  if (point.done) return ClaimOutcome::kDone;
+  const std::optional<ClaimRecord>& governing = point.claim;
+  if (governing && !governing->expired(now)) {
+    if (governing->owner == want.owner) return ClaimOutcome::kClaimed;
     prof::count(prof::Counter::kClaimsLost);
     return ClaimOutcome::kBusy;
   }
@@ -593,7 +710,7 @@ ClaimOutcome try_claim_point(const std::string& path, const ClaimRecord& want,
   if (!append_line_locked(lock, encode_claim_line(stake) + '\n', std::nullopt))
     return ClaimOutcome::kError;
   if (fk == fault::Kind::kKill) fault::kill_now(fault::Site::kClaimStake);
-  const bool reclaimed = have_claim && governing.owner != want.owner;
+  const bool reclaimed = governing && governing->owner != want.owner;
   prof::count(reclaimed ? prof::Counter::kClaimsReclaimed
                         : prof::Counter::kClaimsWon);
   return reclaimed ? ClaimOutcome::kReclaimed : ClaimOutcome::kClaimed;

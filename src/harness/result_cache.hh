@@ -48,8 +48,16 @@
 //     writers never interleave partial lines. Lock acquisition and the
 //     write are retried with bounded exponential backoff (common/
 //     backoff.hh) before the writer degrades to in-memory-only results;
+//   - FileLock only reports a lock once the locked fd still names the file
+//     at the path, so a writer that opened the cache before a repair
+//     renamed a new file into place re-opens it instead of appending to
+//     the unlinked one;
 //   - claim staking (try_claim_point) is read-modify-append under the same
-//     flock, so two workers can never both win a fresh claim on one point;
+//     flock, so two workers can never both win a fresh claim on one point.
+//     The read goes through the locked fd and is incremental: a
+//     per-process, per-path claim index folds only the bytes appended
+//     since the last attempt, and starts again from byte 0 when the file
+//     is another inode, got shorter, or changed before the parse offset;
 //   - readers take no lock: load_result_cache() *quarantines* corrupt,
 //     truncated or checksum-failing lines — each skipped with a one-line
 //     stderr reason (capped per load) — skips claims and foreign versions,
@@ -170,7 +178,11 @@ std::map<ResultKey, ClaimRecord> load_claims(
     std::optional<uint64_t> config_filter = std::nullopt);
 
 /// Atomically stakes a claim for (want.workload, want.design) under
-/// want.config_hash: holding the cache flock, re-reads the file and
+/// want.config_hash: holding the cache flock, brings this process's claim
+/// index for `path` up to date (it parses only the complete lines appended
+/// since the last attempt, or the whole file again if it was replaced,
+/// shortened or rewritten; prof counters claim_bytes_parsed and
+/// claim_rescans count that work) and
 ///   - returns kDone if a result for the point already exists,
 ///   - returns kBusy if another owner's claim is live at wall-clock second
 ///     `now` (a live claim by want.owner itself returns kClaimed without

@@ -1,6 +1,8 @@
 // Result-cache format and writer-safety tests: encode/decode round-trips
-// bit-exactly, loads tolerate corrupt/truncated/duplicate lines, and
-// concurrent writer *processes* (fork) never tear records.
+// bit-exactly, loads tolerate corrupt/truncated/duplicate lines, concurrent
+// writer *processes* (fork) never tear records, and an append blocked
+// behind a rename-into-place (what --fsck --repair does) lands in the new
+// file.
 #include "harness/result_cache.hh"
 
 #include <gtest/gtest.h>
@@ -8,11 +10,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "common/file_lock.hh"
 
 namespace avr {
 namespace {
@@ -247,6 +253,42 @@ TEST(ResultCache, ConcurrentForkedWritersProduceLoadableCache) {
                                       Design::kAvr, static_cast<uint64_t>(k));
       expect_equal(cache.at({want.workload, want.design}), want);
     }
+  std::remove(path.c_str());
+}
+
+TEST(ResultCache, AppendBlockedBehindRenameLandsInTheNewFile) {
+  // A writer opens the cache, then blocks on the flock while the holder
+  // renames a replacement file into place (a repair). Once the holder
+  // releases, the writer's flock succeeds on the old, now unlinked inode;
+  // the lock must notice and re-open the path, or the record is lost.
+  const std::string path = temp_path("renamed");
+  const std::string tmp = path + ".replacement";
+  std::remove(path.c_str());
+  const ExperimentResult kept = sample_result("heat", Design::kBaseline, 1);
+  const ExperimentResult late = sample_result("wrf", Design::kAvr, 2);
+  ASSERT_TRUE(append_result_line(path, kept));
+
+  FileLock holder(path);
+  ASSERT_TRUE(holder.ok()) << holder.error_detail();
+  bool appended = false;
+  std::thread writer([&] { appended = append_result_line(path, late); });
+  // Give the writer time to open the old inode and block in flock. If it
+  // is slower than this, it opens the replacement and the case passes
+  // without exercising the re-check (it never fails spuriously).
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  {
+    std::ofstream out(tmp);
+    out << encode_result_line(kept) << '\n';
+  }
+  ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
+  holder.release();
+  writer.join();
+  EXPECT_TRUE(appended);
+
+  const auto cache = load_result_cache(path);
+  EXPECT_EQ(cache.size(), 2u) << "the blocked append went to the unlinked file";
+  EXPECT_TRUE(cache.count({"heat", Design::kBaseline}));
+  EXPECT_TRUE(cache.count({"wrf", Design::kAvr}));
   std::remove(path.c_str());
 }
 

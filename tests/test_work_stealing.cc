@@ -1,5 +1,7 @@
 // Claim-based work-stealing tests: the v5 claim-record grammar, the
 // try_claim_point state machine (fresh / busy / expired / done), the
+// per-process claim index against the full loaders (appends, torn tails,
+// truncation, repair, unlink-and-recreate, a multi-thread claim storm), the
 // makespan advantage over a static round-robin split on the committed seed
 // costs, and the end-to-end acceptance paths — three concurrent --claim
 // processes produce a cache identical to a single-process sweep, including
@@ -15,19 +17,23 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/profile.hh"
 #include "common/simd.hh"
 #include "harness/experiment.hh"
+#include "harness/fsck.hh"
 #include "harness/sweep.hh"
 #include "workloads/workload_registry.hh"
 
@@ -171,6 +177,233 @@ TEST(TryClaimPoint, StateMachine) {
   std::remove(path.c_str());
 }
 
+// ---- the claim index against the full loaders -----------------------------
+
+/// A cache path this process has never indexed (so --gtest_repeat starts
+/// every case from an empty index).
+std::string claim_index_path(const std::string& tag) {
+  static int calls = 0;
+  return (std::filesystem::temp_directory_path() /
+          ("avr_claim_ix_" + tag + "_" + std::to_string(::getpid()) + "_" +
+           std::to_string(calls++) + ".csv"))
+      .string();
+}
+
+ExperimentResult result_for(const std::string& wl, Design d, uint64_t cfg) {
+  ExperimentResult r;
+  r.workload = wl;
+  r.design = d;
+  r.config_hash = cfg;
+  return r;
+}
+
+void append_raw(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::app | std::ios::binary);
+  out << bytes;
+}
+
+/// What a full scan says try_claim_point(path, want, now) must return:
+/// a result beats any claim, and the last claim in file order governs.
+ClaimOutcome predicted_outcome(const std::string& path, const ClaimRecord& want,
+                               uint64_t now) {
+  const ResultKey key{want.workload, want.design};
+  testing::internal::CaptureStderr();  // the journal's quarantine chatter
+  const bool done = load_result_cache(path, want.config_hash).count(key) > 0;
+  (void)testing::internal::GetCapturedStderr();
+  if (done) return ClaimOutcome::kDone;
+  const auto claims = load_claims(path, want.config_hash);
+  const auto it = claims.find(key);
+  if (it == claims.end()) return ClaimOutcome::kClaimed;
+  const ClaimRecord& c = it->second;
+  if (!c.expired(now))
+    return c.owner == want.owner ? ClaimOutcome::kClaimed : ClaimOutcome::kBusy;
+  return c.owner == want.owner ? ClaimOutcome::kClaimed
+                               : ClaimOutcome::kReclaimed;
+}
+
+TEST(ClaimIndex, MatchesFullLoadersOnARandomJournal) {
+  const std::string path = claim_index_path("oracle");
+  std::remove(path.c_str());
+  prof::Totals totals;
+  prof::ScopedSink sink(&totals);
+
+  const std::vector<std::string> wls = {"kmeans", "heat", "trace:a.trc"};
+  const std::vector<Design> designs = {Design::kBaseline, Design::kAvr};
+  const std::vector<uint64_t> cfgs = {7, 99};
+  const std::vector<std::string> owners = {"A", "B", "C"};
+  std::mt19937_64 rng(0x5eed);
+  auto pick = [&rng](const auto& v) { return v[rng() % v.size()]; };
+
+  uint64_t now = 1000;
+  size_t attempts = 0;
+  for (int step = 0; step < 600; ++step) {
+    now += rng() % 4;
+    const ClaimRecord want =
+        claim(pick(wls), pick(designs), pick(owners), 0, 5 + rng() % 20,
+              pick(cfgs));
+    switch (rng() % 10) {
+      case 0:  // a result, through the locked writer
+        ASSERT_TRUE(append_result_line(
+            path, result_for(want.workload, want.design, want.config_hash)));
+        break;
+      case 1: {  // a claim another process staked, possibly long ago
+        ClaimRecord c = want;
+        c.claimed_at = now - rng() % 40;
+        append_raw(path, encode_claim_line(c) + "\n");
+        break;
+      }
+      case 2: {  // a line from an older format version
+        std::string v4 =
+            encode_result_line(result_for(want.workload, want.design, want.config_hash));
+        v4[0] = '4';
+        append_raw(path, v4 + "\n");
+        break;
+      }
+      case 3: {  // bit rot inside a claim's payload: the CRC must reject it
+        std::string bad = encode_claim_line(want);
+        bad[bad.size() - 6] ^= 0x01;
+        append_raw(path, bad + "\n");
+        break;
+      }
+      case 4: {  // a writer killed mid-record: no '\n' until the next append
+        const std::string line = encode_claim_line(want);
+        append_raw(path, line.substr(0, line.size() / 2));
+        break;
+      }
+      default: {  // a claim attempt, checked against the oracle
+        const ClaimOutcome expect = predicted_outcome(path, want, now);
+        ASSERT_EQ(try_claim_point(path, want, now), expect)
+            << "step " << step << ": " << want.workload << " x "
+            << to_string(want.design) << " cfg " << want.config_hash
+            << " by " << want.owner << " at " << now;
+        ++attempts;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(attempts, 300u);
+  // The file only grew and was never rewritten: every byte was parsed at
+  // most once.
+  EXPECT_EQ(totals.count(prof::Counter::kClaimRescans), 0u);
+  EXPECT_GT(totals.count(prof::Counter::kClaimBytesParsed), 0u);
+  EXPECT_LE(totals.count(prof::Counter::kClaimBytesParsed),
+            std::filesystem::file_size(path));
+  std::remove(path.c_str());
+}
+
+TEST(ClaimIndex, ShorterOrRewrittenFileIsRescanned) {
+  const std::string path = claim_index_path("shrink");
+  std::remove(path.c_str());
+  prof::Totals totals;
+  prof::ScopedSink sink(&totals);
+  const ClaimRecord a = claim("kmeans", Design::kAvr, "A", 0, 30);
+  const ClaimRecord b = claim("kmeans", Design::kAvr, "B", 0, 30);
+  ASSERT_EQ(try_claim_point(path, a, 100), ClaimOutcome::kClaimed);
+  ASSERT_EQ(try_claim_point(path, b, 110), ClaimOutcome::kBusy);
+
+  // Truncated to nothing: A's claim is gone, so B claims fresh (and its
+  // retry indexes that stake).
+  ASSERT_EQ(::truncate(path.c_str(), 0), 0);
+  EXPECT_EQ(try_claim_point(path, b, 111), ClaimOutcome::kClaimed);
+  EXPECT_EQ(try_claim_point(path, b, 111), ClaimOutcome::kClaimed);
+  EXPECT_EQ(totals.count(prof::Counter::kClaimRescans), 1u);
+
+  // Rewritten in place (same inode), longer than what was indexed: only
+  // the bytes before the old offset give it away.
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << encode_result_line(result_for("heat", Design::kAvr, 7)) << "\n"
+        << encode_claim_line(claim("kmeans", Design::kAvr, "C", 111, 30))
+        << "\n";
+  }
+  EXPECT_EQ(try_claim_point(path, b, 112), ClaimOutcome::kBusy);
+  EXPECT_EQ(try_claim_point(path, b, 112), predicted_outcome(path, b, 112));
+  EXPECT_EQ(totals.count(prof::Counter::kClaimRescans), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(ClaimIndex, RepairDroppingAnExpiredClaimMakesThePointClaimable) {
+  const std::string path = claim_index_path("repair");
+  std::remove(path.c_str());
+  prof::Totals totals;
+  prof::ScopedSink sink(&totals);
+  const ClaimRecord a = claim("kmeans", Design::kAvr, "A", 0, 30);
+  const ClaimRecord b = claim("kmeans", Design::kAvr, "B", 0, 30);
+  ASSERT_TRUE(append_result_line(path, result_for("heat", Design::kAvr, 7)));
+  ASSERT_TRUE(append_result_line(path, result_for("heat", Design::kAvr, 7)));
+  ASSERT_EQ(try_claim_point(path, a, 100), ClaimOutcome::kClaimed);
+  ASSERT_EQ(try_claim_point(path, b, 110), ClaimOutcome::kBusy);
+
+  // A died; by t=200 its claim has expired and a repair drops it (and the
+  // duplicate result). The index must not keep serving the old file.
+  std::string error;
+  ASSERT_TRUE(repair_cache(path, 200, &error)) << error;
+  EXPECT_TRUE(load_claims(path).empty());
+  EXPECT_EQ(try_claim_point(path, b, 200), ClaimOutcome::kClaimed)
+      << "a stale index would report kReclaimed over A's dropped claim";
+  EXPECT_GE(totals.count(prof::Counter::kClaimRescans), 1u);
+  EXPECT_EQ(try_claim_point(path, claim("heat", Design::kAvr, "B", 0, 30), 200),
+            ClaimOutcome::kDone);
+  std::remove(path.c_str());
+}
+
+TEST(ClaimIndex, UnlinkedAndRecreatedFileIsRescanned) {
+  const std::string path = claim_index_path("recreate");
+  std::remove(path.c_str());
+  const ClaimRecord a = claim("kmeans", Design::kAvr, "A", 0, 600);
+  const ClaimRecord b = claim("kmeans", Design::kAvr, "B", 0, 600);
+  const ClaimRecord done = claim("heat", Design::kAvr, "B", 0, 600);
+  ASSERT_TRUE(append_result_line(path, result_for("heat", Design::kAvr, 7)));
+  ASSERT_EQ(try_claim_point(path, a, 100), ClaimOutcome::kClaimed);
+  ASSERT_EQ(try_claim_point(path, b, 101), ClaimOutcome::kBusy);
+  ASSERT_EQ(try_claim_point(path, done, 101), ClaimOutcome::kDone);
+
+  // A new file at the same path, longer than the old one and holding
+  // neither A's claim nor heat's result.
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  for (int i = 0; i < 8; ++i)
+    ASSERT_TRUE(append_result_line(
+        path, result_for("w" + std::to_string(i), Design::kBaseline, 7)));
+  EXPECT_EQ(try_claim_point(path, b, 102), ClaimOutcome::kClaimed);
+  EXPECT_EQ(try_claim_point(path, done, 102), ClaimOutcome::kClaimed);
+  EXPECT_EQ(try_claim_point(path, a, 103), ClaimOutcome::kBusy);
+  std::remove(path.c_str());
+}
+
+TEST(ClaimIndex, FourThreadClaimStormWinsEachPointOnce) {
+  const std::string path = claim_index_path("storm");
+  std::remove(path.c_str());
+  constexpr int kThreads = 4;
+  constexpr int kPoints = 48;
+  std::vector<std::atomic<int>> wins(kPoints);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t)
+    pool.emplace_back([&, t] {
+      // Each thread walks the points from a different start, so threads
+      // collide on points rather than trail each other.
+      for (int k = 0; k < kPoints; ++k) {
+        const int p = (k + t * kPoints / kThreads) % kPoints;
+        const ClaimRecord want =
+            claim("p" + std::to_string(p), Design::kBaseline,
+                  "t" + std::to_string(t), 0, 600);
+        const ClaimOutcome got = try_claim_point(path, want, 1000);
+        if (got == ClaimOutcome::kClaimed || got == ClaimOutcome::kReclaimed)
+          wins[p].fetch_add(1);
+        else
+          EXPECT_EQ(got, ClaimOutcome::kBusy);
+      }
+    });
+  for (auto& th : pool) th.join();
+  for (int p = 0; p < kPoints; ++p) EXPECT_EQ(wins[p].load(), 1) << "p" << p;
+  EXPECT_EQ(load_claims(path, uint64_t{7}).size(),
+            static_cast<size_t>(kPoints));
+  std::ifstream in(path);
+  size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  EXPECT_EQ(lines, static_cast<size_t>(kPoints)) << "one stake per point";
+  std::remove(path.c_str());
+}
+
 // ---- scheduling quality ----------------------------------------------------
 
 // Work stealing drains points longest-first into whichever worker is free —
@@ -241,6 +474,19 @@ pid_t spawn_sweep(const std::vector<std::string>& args,
   _exit(127);  // exec failed
 }
 
+/// A counter from an avr-profile-v1 sidecar's process-wide "aggregate"
+/// block (which precedes the per-point blocks).
+uint64_t aggregate_counter(const std::string& json, const std::string& name) {
+  const size_t agg = json.find("\"aggregate\":");
+  const std::string key = "\"" + name + "\":";
+  const size_t at = agg == std::string::npos ? agg : json.find(key, agg);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no aggregate counter " << name;
+    return 0;
+  }
+  return std::stoull(json.substr(at + key.size()));
+}
+
 void assert_matches_single_process_sweep(const std::string& cache,
                                          const std::vector<sweep::Point>& grid) {
   const auto merged = load_result_cache(cache);
@@ -302,6 +548,12 @@ TEST(WorkStealing, ThreeClaimProcessesMatchSingleProcessSweep) {
     const std::string simd =
         std::string("\"simd\":\"") + simd_level_name(simd_level()) + "\"";
     EXPECT_NE(text.find(simd), std::string::npos);
+    // The claim index read each cache byte at most once: the file only
+    // grew, so no worker ever had to parse from byte 0 again.
+    EXPECT_EQ(aggregate_counter(text, "claim_rescans"), 0u) << sidecar;
+    const uint64_t parsed = aggregate_counter(text, "claim_bytes_parsed");
+    EXPECT_GT(parsed, 0u) << sidecar;
+    EXPECT_LE(parsed, std::filesystem::file_size(cache)) << sidecar;
     std::remove(sidecar.c_str());
   }
   std::remove(cache.c_str());
