@@ -55,36 +55,18 @@ void BM_AccessChainStore(benchmark::State& state) {
 }
 BENCHMARK(BM_AccessChainStore);
 
-/// The address-based runtime API (kept for tests and non-ported callers):
-/// same L1-resident stream as BM_AccessChain, always through the
-/// RegionRegistry address translation.
-void BM_AccessChainAddr(benchmark::State& state) {
-  System sys(Design::kBaseline, small_cfg());
-  const uint64_t bytes = 2048;
-  const uint64_t a = sys.alloc("bench.chain", bytes, /*approx=*/false);
-  for (uint64_t off = 0; off < bytes; off += 4) sys.load_f32(a + off);
-  uint64_t off = 0;
-  float acc = 0;
-  for (auto _ : state) {
-    acc += sys.load_f32(a + off);
-    off = (off + 4) & (bytes - 1);
-  }
-  benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_AccessChainAddr);
-
 /// Line-stride reads over a window larger than the private caches but
 /// LLC-resident: every access walks the full L1 -> L2 -> LLC dispatch.
 void BM_AccessChainLlc(benchmark::State& state) {
   System sys(Design::kBaseline, small_cfg());
   const uint64_t bytes = 256 * 1024;  // > L2 (16 kB), within the 512 kB LLC
-  const uint64_t a = sys.alloc("bench.llc", bytes, /*approx=*/false);
+  const RegionHandle h = sys.alloc_region("bench.llc", bytes, /*approx=*/false);
   for (uint64_t off = 0; off < bytes; off += kCachelineBytes)
-    sys.load_f32(a + off);
+    sys.load_f32(h, off);
   uint64_t off = 0;
   float acc = 0;
   for (auto _ : state) {
-    acc += sys.load_f32(a + off);
+    acc += sys.load_f32(h, off);
     off = (off + kCachelineBytes) & (bytes - 1);
   }
   benchmark::DoNotOptimize(acc);

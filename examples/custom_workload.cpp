@@ -8,6 +8,7 @@
 //   build/examples/example_custom_workload
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "runtime/system.hh"
@@ -25,11 +26,10 @@ RunMetrics run_blur(Design design, double* out_checksum) {
   System sys(design, cfg);
 
   constexpr uint32_t kW = 256, kH = 192;
-  const uint64_t img = sys.alloc("image", uint64_t{kW} * kH * 4, /*approx=*/true);
-  const uint64_t out = sys.alloc("blurred", uint64_t{kW} * kH * 4, /*approx=*/false);
-  auto at = [&](uint64_t base, uint32_t x, uint32_t y) {
-    return base + (uint64_t{y} * kW + x) * 4;
-  };
+  // Handles resolve each region once; an access is then a byte offset.
+  RegionHandle img = sys.alloc_region("image", uint64_t{kW} * kH * 4, /*approx=*/true);
+  RegionHandle out = sys.alloc_region("blurred", uint64_t{kW} * kH * 4, /*approx=*/false);
+  auto at = [](uint32_t x, uint32_t y) { return (uint64_t{y} * kW + x) * 4; };
 
   // Synthetic scene: smooth vignette + a few hard-edged rectangles.
   for (uint32_t y = 0; y < kH; ++y)
@@ -37,7 +37,7 @@ RunMetrics run_blur(Design design, double* out_checksum) {
       float v = 128.0f + 80.0f * std::sin(0.01f * x) * std::cos(0.013f * y);
       if (x > 60 && x < 120 && y > 40 && y < 90) v = 240.0f;  // bright card
       if (x > 180 && x < 210 && y > 100 && y < 160) v = 15.0f;  // shadow
-      sys.store_f32(at(img, x, y), v);
+      sys.store_f32(img, at(x, y), v);
     }
 
   // Blur passes (each read-modify-writes the whole image working set).
@@ -48,13 +48,13 @@ RunMetrics run_blur(Design design, double* out_checksum) {
         float acc = 0;
         for (int dy = -1; dy <= 1; ++dy)
           for (int dx = -1; dx <= 1; ++dx)
-            acc += sys.load_f32(at(img, x + dx, y + dy));
+            acc += sys.load_f32(img, at(x + dx, y + dy));
         sys.ops(10);
-        sys.store_f32(at(out, x, y), acc / 9.0f);
+        sys.store_f32(out, at(x, y), acc / 9.0f);
       }
-    if (pass + 1 < 3) std::swap(const_cast<uint64_t&>(img), const_cast<uint64_t&>(out));
+    if (pass + 1 < 3) std::swap(img, out);
   }
-  for (uint32_t y = 0; y < kH; ++y) checksum += sys.peek_f32(at(out, kW / 2, y));
+  for (uint32_t y = 0; y < kH; ++y) checksum += sys.peek_f32(out, at(kW / 2, y));
   sys.finish();
   *out_checksum = checksum;
   return sys.metrics();

@@ -210,7 +210,7 @@ struct PointProfile {
 /// breakdowns, and the aggregate (sum of points + harness/scheduler time).
 struct Report {
   std::string owner;  // claim-owner token or "<host>-<pid>"
-  std::string mode;   // "claim"/"single" (avr_sweep), "runner" (in-process)
+  std::string mode;   // "claim" or "single" (avr_sweep)
   std::string simd;   // active kernel dispatch level: "scalar"|"avx2"
   double wall_seconds = 0;
   Totals aggregate;

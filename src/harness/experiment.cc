@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -56,20 +55,6 @@ ExperimentRunner::ExperimentRunner(SimConfig base, bool verbose,
       cache_path_(std::move(cache_path)) {
   load_disk_cache();
   load_seed_costs();
-}
-
-ExperimentRunner::~ExperimentRunner() {
-  const char* out = std::getenv("AVR_PROFILE_OUT");
-  if (!out || !*out) return;
-  prof::Report report;
-  report.owner = prof::default_owner();
-  report.mode = "runner";
-  report.aggregate = profile_totals();
-  report.points = profile_points();
-  for (const prof::PointProfile& p : report.points)
-    report.wall_seconds += p.wall_seconds;
-  if (!report.aggregate.empty() && !prof::write_profile_json(out, report))
-    std::fprintf(stderr, "[profile] WARNING: could not write %s\n", out);
 }
 
 prof::Totals ExperimentRunner::profile_totals() {
@@ -283,13 +268,6 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
   return cache_.at(key);
 }
 
-std::vector<ExperimentResult> ExperimentRunner::run_all(
-    const std::vector<std::string>& workloads, const std::vector<Design>& designs,
-    unsigned n_threads) {
-  // sweep::full_grid is the single definition of the canonical order.
-  return run_points(sweep::full_grid(workloads, designs), n_threads);
-}
-
 std::vector<ExperimentResult> ExperimentRunner::run_points(
     const std::vector<std::pair<std::string, Design>>& points,
     unsigned n_threads) {
@@ -351,49 +329,6 @@ std::vector<ExperimentResult> ExperimentRunner::run_points(
   std::lock_guard<std::mutex> lk(mu_);
   for (const auto& p : points) out.push_back(cache_.at(p));
   return out;
-}
-
-void print_normalized_table(
-    ExperimentRunner& r, const std::string& title,
-    const std::vector<std::string>& workloads, const std::vector<Design>& designs,
-    const std::function<double(const RunMetrics&)>& metric, bool include_geomean) {
-  std::printf("\n== %s (normalized to baseline) ==\n", title.c_str());
-  std::printf("%-10s", "design");
-  for (const auto& w : workloads) std::printf(" %9s", w.c_str());
-  if (include_geomean) std::printf(" %9s", "geomean");
-  std::printf("\n");
-  for (Design d : designs) {
-    std::printf("%-10s", to_string(d));
-    double logsum = 0;
-    int n = 0;
-    for (const auto& w : workloads) {
-      const double base = metric(r.run(w, Design::kBaseline).m);
-      const double val = metric(r.run(w, d).m);
-      const double norm = base > 0 ? val / base : 0.0;
-      std::printf(" %9.3f", norm);
-      if (norm > 0) {
-        logsum += std::log(norm);
-        ++n;
-      }
-    }
-    if (include_geomean) std::printf(" %9.3f", n ? std::exp(logsum / n) : 0.0);
-    std::printf("\n");
-  }
-}
-
-void print_value_table(
-    ExperimentRunner& r, const std::string& title,
-    const std::vector<std::string>& workloads, const std::vector<Design>& designs,
-    const std::function<double(const RunMetrics&)>& metric, const std::string& unit) {
-  std::printf("\n== %s (%s) ==\n", title.c_str(), unit.c_str());
-  std::printf("%-10s", "design");
-  for (const auto& w : workloads) std::printf(" %9s", w.c_str());
-  std::printf("\n");
-  for (Design d : designs) {
-    std::printf("%-10s", to_string(d));
-    for (const auto& w : workloads) std::printf(" %9.3f", metric(r.run(w, d).m));
-    std::printf("\n");
-  }
 }
 
 }  // namespace avr

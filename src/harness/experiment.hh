@@ -1,10 +1,8 @@
-// Experiment driver: runs (workload x design) points, computes application
-// output error against a golden functional run, and prints paper-style
-// tables (rows normalized to baseline where the paper normalizes).
+// Experiment driver: runs (workload x design) points and computes
+// application output error against a golden functional run.
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -35,8 +33,8 @@ struct ExperimentResult {
 
 class ExperimentRunner {
  public:
-  /// `cache_path`: optional CSV file persisting results across the figure
-  /// binaries and sweep processes (they all share one default-config sweep).
+  /// `cache_path`: optional CSV file persisting results across sweep
+  /// processes and runs (avr_sweep --report prints the paper's tables from it).
   /// Appends are safe against concurrent writer *processes* — see
   /// harness/result_cache.hh for the format and locking contract. Records
   /// carry the base config's fingerprint (format v3+), so runners with
@@ -47,11 +45,6 @@ class ExperimentRunner {
   explicit ExperimentRunner(SimConfig base = {}, bool verbose = true,
                             std::string cache_path = default_cache_path());
 
-  /// If the environment variable AVR_PROFILE_OUT names a path, writes the
-  /// runner's profile there as sidecar JSON (mode "runner"). avr_sweep
-  /// bypasses this and writes a richer per-process report itself.
-  ~ExperimentRunner();
-
   static std::string default_cache_path();
   /// Committed per-point cost seed (see data/seed_costs.csv): measured
   /// wall_seconds for the default-config grid, so even the very first
@@ -61,8 +54,8 @@ class ExperimentRunner {
   static std::string default_seed_cost_path();
 
   /// Run one (workload, design) point. Golden outputs are computed once per
-  /// workload and cached; results are cached too, so table printers can
-  /// share runs. Thread-safe: concurrent calls on distinct points proceed in
+  /// workload and cached; results are cached too, so repeated calls are
+  /// lookups. Thread-safe: concurrent calls on distinct points proceed in
   /// parallel, each with its own System; the caches are mutex-guarded and
   /// returned references stay valid for the runner's lifetime.
   const ExperimentResult& run(const std::string& wl, Design d);
@@ -70,15 +63,6 @@ class ExperimentRunner {
   /// True if the point is already in the in-memory cache (hit at
   /// construction from disk, or simulated earlier in this process).
   bool cached(const std::string& wl, Design d);
-
-  /// Run the full (workload x design) sweep, independent points concurrently
-  /// on a thread pool of `n_threads` (0 = hardware concurrency). Warms the
-  /// same result cache `run()` uses, so subsequent table printing is pure
-  /// lookup. Returns the results in workload-major, design-minor order —
-  /// identical values to calling `run()` serially in that order.
-  std::vector<ExperimentResult> run_all(const std::vector<std::string>& workloads,
-                                        const std::vector<Design>& designs,
-                                        unsigned n_threads = 0);
 
   /// Run an arbitrary point list (e.g. one variant's part of the grid) on the
   /// pool. Uncached points are scheduled longest-first by cost_estimate() —
@@ -151,22 +135,5 @@ class ExperimentRunner {
   prof::Totals prof_totals_;
   std::vector<prof::PointProfile> prof_points_;
 };
-
-// ---- table printing --------------------------------------------------------
-
-/// Prints one row per design, one column per workload, each cell
-/// extractor(result)/extractor(baseline result) — the shape of Figs. 9-13.
-void print_normalized_table(
-    ExperimentRunner& r, const std::string& title,
-    const std::vector<std::string>& workloads, const std::vector<Design>& designs,
-    const std::function<double(const RunMetrics&)>& metric,
-    bool include_geomean = true);
-
-/// Prints an absolute-valued table (Table 3 / Table 4 shape).
-void print_value_table(
-    ExperimentRunner& r, const std::string& title,
-    const std::vector<std::string>& workloads, const std::vector<Design>& designs,
-    const std::function<double(const RunMetrics&)>& metric,
-    const std::string& unit);
 
 }  // namespace avr

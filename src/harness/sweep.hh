@@ -1,8 +1,8 @@
 // Grid enumeration and the claim-based work-stealing scheduler for the
 // distributed paper sweep.
 //
-// The canonical grid order is workload-major, design-minor — the same order
-// run_all() returns. Processes split it by *work stealing* (--claim): every
+// The canonical grid order is workload-major, design-minor (full_grid()
+// below). Processes split it by *work stealing* (--claim): every
 // process sees the full grid and claims points one at a time by appending
 // claim records through the flock'd cache file (run_work_stealing below,
 // protocol in harness/result_cache.hh and docs/OPERATIONS.md). Stragglers

@@ -71,24 +71,8 @@ class System {
   /// Handle for an already-allocated region (invalid handle if unknown).
   RegionHandle region(const std::string& name) { return regions_.handle(name); }
 
-  // Address-based accessors (kept for tests and generic tooling): resolve
-  // the host pointer through the region registry on every access.
-  float load_f32(uint64_t addr) {
-    touch(addr, /*write=*/false);
-    return regions_.load<float>(addr);
-  }
-  void store_f32(uint64_t addr, float v) {
-    touch(addr, /*write=*/true);
-    regions_.store(addr, v);
-  }
-  /// Functional peek/poke without timing (for output collection / init that
-  /// must bypass the hierarchy — use sparingly).
-  float peek_f32(uint64_t addr) const { return regions_.load<float>(addr); }
-  void poke_f32(uint64_t addr, float v) { regions_.store(addr, v); }
-
-  // Handle-based accessors: identical simulated behaviour to the address
-  // forms (same touch() on h.sim_base + off), functional part collapsed to
-  // host + off. Offsets are bounds-checked in Debug builds only.
+  // load/store charge touch(h.sim_base + off); peek/poke are functional only.
+  // Either way the data is at h.host + off, bounds-checked in Debug builds.
   float load_f32(const RegionHandle& h, uint64_t off) {
     assert(h.bytes >= sizeof(float) && off <= h.bytes - sizeof(float) &&
            "handle load out of range");

@@ -12,6 +12,7 @@
 //   avr_sweep --cache single.csv                   the whole grid, one process
 //   avr_sweep --check --cache merged.csv           assert full-grid coverage
 //   avr_sweep --assert-same other.csv --cache a.csv   compare two caches
+//   avr_sweep --report --cache merged.csv          the paper's figures/tables
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include "common/simd.hh"
 #include "harness/experiment.hh"
 #include "harness/fsck.hh"
+#include "harness/paper_report.hh"
 #include "harness/result_cache.hh"
 #include "harness/sweep.hh"
 
@@ -78,6 +80,9 @@ shared CSV cache. Exits nonzero if any point fails.
                      dangling claims, foreign record versions — and print the
                      accounting; exit 1 if the cache needs attention (runs
                      nothing)
+  --report           print the paper's figures and tables from the cache,
+                     each value beside the paper's; exit 1 listing any
+                     missing default-grid point (runs nothing)
   --repair           with --fsck: rewrite the cache as a clean current-version
                      file (atomically, under the cache flock), keeping the
                      last valid result per point and any live dangling claims;
@@ -104,6 +109,7 @@ struct Options {
   bool check = false;
   bool assert_same = false;
   bool fsck = false;
+  bool report = false;
   bool repair = false;
   bool quiet = false;
 };
@@ -164,6 +170,8 @@ Options parse_args(int argc, char** argv) {
       o.check = true;
     } else if (a == "--fsck") {
       o.fsck = true;
+    } else if (a == "--report") {
+      o.report = true;
     } else if (a == "--repair") {
       o.repair = true;
     } else if (a == "--quiet") {
@@ -181,6 +189,8 @@ Options parse_args(int argc, char** argv) {
     throw std::invalid_argument("--repair only makes sense with --fsck");
   if (o.fsck && o.cache_path.empty())
     throw std::invalid_argument("--fsck needs a cache file");
+  if (o.report && o.cache_path.empty())
+    throw std::invalid_argument("--report needs a cache file");
   return o;
 }
 
@@ -247,6 +257,22 @@ std::map<Variant, std::vector<avr::sweep::Point>> by_variant(
   for (const auto& vp : grid)
     groups[{vp.t1, vp.methods}].push_back(vp.point);
   return groups;
+}
+
+/// --report: only default-grid points are required; absent --methods
+/// avr+bdi records just print "-" in the extension sections.
+int run_report(const Options& o) {
+  using namespace avr::sweep;
+  const auto grid = avr::load_result_cache(
+      o.cache_path, variant_fingerprint({-1, kMethodsDefault}));
+  const auto bdi = avr::load_result_cache(
+      o.cache_path,
+      variant_fingerprint({-1, kMethods1D | kMethods2D | kMethodsBdi}));
+  const size_t missing = avr::paper::print_report(stdout, grid, bdi).size();
+  if (!missing) return 0;
+  std::fprintf(stderr, "%s lacks %zu default-grid point(s), listed in the report\n",
+               o.cache_path.c_str(), missing);
+  return 1;
 }
 
 int check_coverage(const Options& o,
@@ -372,6 +398,7 @@ int main(int argc, char** argv) {
   if (o.check) return check_coverage(o, grid);
   if (o.assert_same) return check_same(o);
   if (o.fsck) return run_fsck(o);
+  if (o.report) return run_report(o);
 
   // One runner per (t1, methods) variant in the grid: each loads and
   // appends only records carrying its own config fingerprint, so all
@@ -432,8 +459,7 @@ int main(int argc, char** argv) {
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   // The cache IS this process's output: results that only exist in
-  // memory are lost when it exits, so persistence failures are fatal here
-  // (unlike in the figure benches, which still print their tables).
+  // memory are lost when it exits, so persistence failures are fatal here.
   if (!o.cache_path.empty() && write_failures > 0) {
     std::fprintf(stderr, "avr_sweep: %zu result(s) could not be appended to %s\n",
                  write_failures, o.cache_path.c_str());

@@ -1,6 +1,7 @@
-// Parallel sweep tests: run_all must produce bit-identical results to serial
-// run() calls, stay deterministic across repeated sweeps, and keep the
-// result/golden caches race-free under concurrent points.
+// Parallel sweep tests: run_points over a full grid must produce
+// bit-identical results to serial run() calls, stay deterministic across
+// repeated sweeps, and keep the result/golden caches race-free under
+// concurrent points.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "workloads/workload_registry.hh"
 
 namespace avr {
@@ -38,7 +40,7 @@ void expect_same(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.m.detail, b.m.detail);
 }
 
-TEST(ExperimentRunnerParallel, RunAllMatchesSerialRun) {
+TEST(ExperimentRunnerParallel, FullGridMatchesSerialRun) {
   ExperimentRunner serial({}, false, "");
   ExperimentRunner parallel({}, false, "");
 
@@ -46,7 +48,7 @@ TEST(ExperimentRunnerParallel, RunAllMatchesSerialRun) {
   for (const auto& w : kWorkloads)
     for (Design d : kDesigns) want.push_back(serial.run(w, d));
 
-  const auto got = parallel.run_all(kWorkloads, kDesigns, 4);
+  const auto got = parallel.run_points(sweep::full_grid(kWorkloads, kDesigns), 4);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) expect_same(got[i], want[i]);
 }
@@ -54,7 +56,7 @@ TEST(ExperimentRunnerParallel, RunAllMatchesSerialRun) {
 TEST(ExperimentRunnerParallel, SingleThreadPoolMatchesSerial) {
   ExperimentRunner serial({}, false, "");
   ExperimentRunner pool1({}, false, "");
-  const auto got = pool1.run_all({"bscholes"}, kDesigns, 1);
+  const auto got = pool1.run_points(sweep::full_grid({"bscholes"}, kDesigns), 1);
   ASSERT_EQ(got.size(), kDesigns.size());
   for (size_t i = 0; i < kDesigns.size(); ++i)
     expect_same(got[i], serial.run("bscholes", kDesigns[i]));
@@ -62,16 +64,17 @@ TEST(ExperimentRunnerParallel, SingleThreadPoolMatchesSerial) {
 
 TEST(ExperimentRunnerParallel, RepeatedSweepIsCachedAndIdentical) {
   ExperimentRunner r({}, false, "");
-  const auto first = r.run_all(kWorkloads, kDesigns, 4);
+  const auto first = r.run_points(sweep::full_grid(kWorkloads, kDesigns), 4);
   // Second sweep must be pure cache lookup with identical values.
-  const auto second = r.run_all(kWorkloads, kDesigns, 4);
+  const auto second = r.run_points(sweep::full_grid(kWorkloads, kDesigns), 4);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) expect_same(first[i], second[i]);
 }
 
 TEST(ExperimentRunnerParallel, ResultsInWorkloadMajorOrder) {
   ExperimentRunner r({}, false, "");
-  const auto got = r.run_all({"bscholes", "wrf"}, {Design::kBaseline, Design::kAvr}, 2);
+  const auto got = r.run_points(
+      sweep::full_grid({"bscholes", "wrf"}, {Design::kBaseline, Design::kAvr}), 2);
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(got[0].workload, "bscholes");
   EXPECT_EQ(got[0].design, Design::kBaseline);
@@ -112,8 +115,9 @@ TEST(ExperimentRunnerParallel, ConcurrentOverlappingRunsAreRaceFree) {
 
 TEST(ExperimentRunnerParallel, UnknownWorkloadPropagatesException) {
   ExperimentRunner r({}, false, "");
-  EXPECT_THROW(r.run_all({"bscholes", "nosuch"}, {Design::kBaseline}, 4),
-               std::invalid_argument);
+  EXPECT_THROW(
+      r.run_points(sweep::full_grid({"bscholes", "nosuch"}, {Design::kBaseline}), 4),
+      std::invalid_argument);
 }
 
 }  // namespace

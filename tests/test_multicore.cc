@@ -15,12 +15,12 @@ SimConfig cfg() {
 
 TEST(Multicore, CoresHavePrivateL1s) {
   System sys(Design::kBaseline, cfg(), /*num_cores=*/2);
-  const uint64_t a = sys.alloc("x", kBlockBytes, false);
+  const RegionHandle h = sys.alloc_region("x", kBlockBytes, false);
   sys.use_core(0);
-  sys.load_f32(a);  // miss everywhere, fills core 0's L1
-  sys.load_f32(a);  // L1 hit on core 0
+  sys.load_f32(h, 0);  // miss everywhere, fills core 0's L1
+  sys.load_f32(h, 0);  // L1 hit on core 0
   sys.use_core(1);
-  sys.load_f32(a);  // misses core 1's L1, hits the shared LLC
+  sys.load_f32(h, 0);  // misses core 1's L1, hits the shared LLC
   EXPECT_EQ(sys.hierarchy().l1(0).counters().hits, 1u);
   EXPECT_EQ(sys.hierarchy().l1(1).counters().hits, 0u);
   EXPECT_EQ(sys.hierarchy().llc_requests(), 2u);
@@ -29,11 +29,11 @@ TEST(Multicore, CoresHavePrivateL1s) {
 
 TEST(Multicore, SharedLlcServesBothCores) {
   System sys(Design::kAvr, cfg(), 2);
-  const uint64_t a = sys.alloc("x", 4 * kBlockBytes, true);
+  const RegionHandle h = sys.alloc_region("x", 4 * kBlockBytes, true);
   sys.use_core(0);
-  for (int i = 0; i < 64; ++i) sys.store_f32(a + i * 4, 1.0f + i);
+  for (int i = 0; i < 64; ++i) sys.store_f32(h, i * 4, 1.0f + i);
   sys.use_core(1);
-  for (int i = 0; i < 64; ++i) sys.load_f32(a + i * 4);
+  for (int i = 0; i < 64; ++i) sys.load_f32(h, i * 4);
   sys.finish();
   EXPECT_GT(sys.core(0).instructions(), 0u);
   EXPECT_GT(sys.core(1).instructions(), 0u);
@@ -47,10 +47,10 @@ TEST(Multicore, OpsChargeTheActiveCore) {
   // Explicit ops() bill to the core selected by use_core(), exactly like
   // the accesses they surround (ops() used to charge core 0 always).
   System sys(Design::kBaseline, cfg(), /*num_cores=*/2);
-  const uint64_t a = sys.alloc("x", kBlockBytes, false);
+  const RegionHandle h = sys.alloc_region("x", kBlockBytes, false);
   sys.use_core(1);
   sys.ops(100);
-  sys.load_f32(a);
+  sys.load_f32(h, 0);
   EXPECT_EQ(sys.core(0).instructions(), 0u);
   EXPECT_EQ(sys.core(1).instructions(), 100u + 1u + cfg().ops_per_access);
   sys.use_core(0);
@@ -61,9 +61,9 @@ TEST(Multicore, OpsChargeTheActiveCore) {
 
 TEST(Multicore, UseCoreOutOfRangeFallsBackToZero) {
   System sys(Design::kBaseline, cfg(), 2);
-  const uint64_t a = sys.alloc("x", kBlockBytes, false);
+  const RegionHandle h = sys.alloc_region("x", kBlockBytes, false);
   sys.use_core(99);  // clamps to core 0
-  sys.load_f32(a);
+  sys.load_f32(h, 0);
   EXPECT_EQ(sys.core(0).instructions(),
             1u + cfg().ops_per_access);
 }

@@ -1,8 +1,7 @@
-// RegionHandle API proofs: handle-based access is equivalent to the
-// address-based API (functionally and in every simulated metric), offsets
-// are bounds-checked in Debug builds, and the handle-ported workloads still
-// produce bit-identical golden outputs to the pre-port seed (FNV digests
-// captured at commit 8a16036, before the port).
+// RegionHandle API proofs: handles resolve to the registry's regions and
+// backing bytes, offsets are bounds-checked in Debug builds, and the
+// handle-ported workloads still produce bit-identical golden outputs to the
+// pre-port seed (FNV digests captured at commit 8a16036, before the port).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -42,46 +41,15 @@ TEST(RegionHandle, ResolvesAllocatedRegions) {
 TEST(RegionHandle, HandleAndAddressAccessAreInterchangeable) {
   System sys(Design::kBaseline, small_cfg());
   const RegionHandle h = sys.alloc_region("buf", kBlockBytes, /*approx=*/true);
-  // A store through the handle is visible through the address API and
-  // vice versa: both hit the same backing bytes.
+  // A store through the handle is visible at the simulated address in the
+  // region registry and vice versa: both name the same backing bytes.
   sys.store_f32(h, 8, 3.5f);
-  EXPECT_FLOAT_EQ(sys.load_f32(h.addr(8)), 3.5f);
-  sys.store_f32(h.addr(16), -2.0f);
+  EXPECT_FLOAT_EQ(sys.regions().load<float>(h.addr(8)), 3.5f);
+  sys.regions().store(h.addr(16), -2.0f);
   EXPECT_FLOAT_EQ(sys.load_f32(h, 16), -2.0f);
   sys.poke_f32(h, 24, 7.0f);
-  EXPECT_FLOAT_EQ(sys.peek_f32(h.addr(24)), 7.0f);
+  EXPECT_FLOAT_EQ(sys.regions().load<float>(h.addr(24)), 7.0f);
   EXPECT_FLOAT_EQ(sys.peek_f32(h, 24), 7.0f);
-}
-
-/// The same access sequence driven through addresses vs through handles
-/// must leave two Systems in identical simulated states: the handle API
-/// only collapses the functional path, never the timing path.
-TEST(RegionHandle, TimingMetricsMatchAddressApi) {
-  System by_addr(Design::kAvr, small_cfg());
-  System by_handle(Design::kAvr, small_cfg());
-  const uint64_t n = 4 * kValuesPerBlock;
-  const uint64_t a = by_addr.alloc("x", n * sizeof(float), /*approx=*/true);
-  const RegionHandle h = by_handle.alloc_region("x", n * sizeof(float),
-                                                /*approx=*/true);
-  for (uint64_t i = 0; i < n; ++i) {
-    by_addr.store_f32(a + i * 4, 1.0f + 0.25f * static_cast<float>(i % 64));
-    by_handle.store_f32(h, i * 4, 1.0f + 0.25f * static_cast<float>(i % 64));
-  }
-  for (int pass = 0; pass < 3; ++pass)
-    for (uint64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(by_addr.load_f32(a + i * 4), by_handle.load_f32(h, i * 4));
-    }
-  by_addr.finish();
-  by_handle.finish();
-  const RunMetrics ma = by_addr.metrics();
-  const RunMetrics mh = by_handle.metrics();
-  EXPECT_EQ(ma.cycles, mh.cycles);
-  EXPECT_EQ(ma.instructions, mh.instructions);
-  EXPECT_DOUBLE_EQ(ma.amat, mh.amat);
-  EXPECT_EQ(ma.llc_requests, mh.llc_requests);
-  EXPECT_EQ(ma.llc_misses, mh.llc_misses);
-  EXPECT_EQ(ma.dram_bytes, mh.dram_bytes);
-  EXPECT_EQ(ma.detail, mh.detail);
 }
 
 #ifndef NDEBUG

@@ -30,12 +30,12 @@ SimConfig small_cfg() {
 RunMetrics run_kernel(Design d) {
   System sys(d, small_cfg());
   const uint64_t n = 64 * 1024;  // floats = 256 kB
-  const uint64_t a = sys.alloc("field", n * sizeof(float), /*approx=*/true);
+  const RegionHandle h = sys.alloc_region("field", n * sizeof(float), /*approx=*/true);
   for (uint64_t i = 0; i < n; ++i)
-    sys.store_f32(a + i * 4, 10.0f + 0.001f * static_cast<float>(i % 4096));
+    sys.store_f32(h, i * 4, 10.0f + 0.001f * static_cast<float>(i % 4096));
   double acc = 0;
   for (int pass = 0; pass < 2; ++pass)
-    for (uint64_t i = 0; i < n; ++i) acc += sys.load_f32(a + i * 4);
+    for (uint64_t i = 0; i < n; ++i) acc += sys.load_f32(h, i * 4);
   EXPECT_GT(acc, 0.0);
   sys.finish();
   return sys.metrics();

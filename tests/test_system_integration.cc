@@ -18,12 +18,12 @@ SimConfig small_cfg() {
 RunMetrics run_streaming_kernel(Design d, bool approx = true) {
   System sys(d, small_cfg());
   const uint64_t n = 64 * 1024;  // floats = 256 kB
-  const uint64_t a = sys.alloc("field", n * sizeof(float), approx);
+  const RegionHandle h = sys.alloc_region("field", n * sizeof(float), approx);
   for (uint64_t i = 0; i < n; ++i)
-    sys.store_f32(a + i * 4, 10.0f + 0.001f * static_cast<float>(i % 4096));
+    sys.store_f32(h, i * 4, 10.0f + 0.001f * static_cast<float>(i % 4096));
   double acc = 0;
   for (int pass = 0; pass < 2; ++pass)
-    for (uint64_t i = 0; i < n; ++i) acc += sys.load_f32(a + i * 4);
+    for (uint64_t i = 0; i < n; ++i) acc += sys.load_f32(h, i * 4);
   EXPECT_GT(acc, 0.0);
   sys.finish();
   return sys.metrics();
@@ -57,27 +57,27 @@ TEST(SystemIntegration, NonApproxDataIdenticalAcrossDesigns) {
   for (Design d : {Design::kBaseline, Design::kTruncate, Design::kDoppelganger,
                    Design::kZeroAvr, Design::kAvr}) {
     System sys(d, small_cfg());
-    const uint64_t a = sys.alloc("x", 4096, /*approx=*/false);
-    for (int i = 0; i < 1024; ++i) sys.store_f32(a + i * 4, 1.1f * i);
+    const RegionHandle h = sys.alloc_region("x", 4096, /*approx=*/false);
+    for (int i = 0; i < 1024; ++i) sys.store_f32(h, i * 4, 1.1f * i);
     sys.finish();
     for (int i = 0; i < 1024; ++i)
-      EXPECT_FLOAT_EQ(sys.peek_f32(a + i * 4), 1.1f * i) << to_string(d);
+      EXPECT_FLOAT_EQ(sys.peek_f32(h, i * 4), 1.1f * i) << to_string(d);
   }
 }
 
 TEST(SystemIntegration, AvrValuesStayWithinThreshold) {
   System sys(Design::kAvr, small_cfg());
   const uint64_t n = 32 * 1024;
-  const uint64_t a = sys.alloc("field", n * 4, true);
+  const RegionHandle h = sys.alloc_region("field", n * 4, true);
   std::vector<float> expect(n);
   for (uint64_t i = 0; i < n; ++i) {
     expect[i] = 100.0f + 0.002f * static_cast<float>(i % 1024);
-    sys.store_f32(a + i * 4, expect[i]);
+    sys.store_f32(h, i * 4, expect[i]);
   }
   sys.finish();  // forces compression of everything dirty
   int outliers = 0;
   for (uint64_t i = 0; i < n; ++i) {
-    const float v = sys.peek_f32(a + i * 4);
+    const float v = sys.peek_f32(h, i * 4);
     if (relative_error(v, expect[i]) > 2 * 1.0 / 16) ++outliers;
   }
   EXPECT_EQ(outliers, 0) << "all values must stay within ~2*T1";
@@ -85,9 +85,9 @@ TEST(SystemIntegration, AvrValuesStayWithinThreshold) {
 
 TEST(SystemIntegration, GoldenModeIsPureFunctional) {
   System sys(Design::kBaseline, small_cfg(), 1, /*timing=*/false);
-  const uint64_t a = sys.alloc("x", 4096, true);
-  sys.store_f32(a, 2.5f);
-  EXPECT_FLOAT_EQ(sys.load_f32(a), 2.5f);
+  const RegionHandle h = sys.alloc_region("x", 4096, true);
+  sys.store_f32(h, 0, 2.5f);
+  EXPECT_FLOAT_EQ(sys.load_f32(h, 0), 2.5f);
   sys.finish();
   const RunMetrics m = sys.metrics();
   EXPECT_EQ(m.cycles, 0u);

@@ -28,6 +28,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/profile.hh"
@@ -457,15 +458,18 @@ std::string sweep_binary() {
   return bin ? bin : "";
 }
 
-/// Forks and execs `args`; a non-empty `stderr_path` captures the child's
-/// stderr in that file.
+/// Forks and execs `args`; a non-empty `stderr_path` / `stdout_path`
+/// captures the child's stderr / stdout in that file.
 pid_t spawn_sweep(const std::vector<std::string>& args,
-                  const std::string& stderr_path = "") {
+                  const std::string& stderr_path = "",
+                  const std::string& stdout_path = "") {
   const pid_t pid = fork();
   if (pid != 0) return pid;
-  if (!stderr_path.empty()) {
-    const int fd = ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0 || ::dup2(fd, STDERR_FILENO) < 0) _exit(126);
+  for (const auto& [path, target] :
+       {std::pair{&stderr_path, STDERR_FILENO}, std::pair{&stdout_path, STDOUT_FILENO}}) {
+    if (path->empty()) continue;
+    const int fd = ::open(path->c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0 || ::dup2(fd, target) < 0) _exit(126);
   }
   std::vector<char*> argv;
   for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
@@ -649,6 +653,56 @@ TEST(WorkStealing, PlainSweepCoversItsWholeGrid) {
   EXPECT_NE(err.find("unknown flag: --shard"), std::string::npos) << err;
   std::remove(err_path.c_str());
   std::remove(cache.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(WorkStealing, ReportNeedsACacheAndTheWholeDefaultGrid) {
+  const std::string bin = sweep_binary();
+  if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
+
+  const std::string cache =
+      (std::filesystem::temp_directory_path() /
+       ("avr_report_e2e_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  const std::string err_path = cache + ".stderr";
+  const std::string out_path = cache + ".stdout";
+  std::remove(cache.c_str());
+
+  // --report only reads a cache: without one it is a usage error, exit 2.
+  int status = 0;
+  pid_t pid = spawn_sweep({bin, "--report", "--cache", ""}, err_path);
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_NE(read_file(err_path).find("--report needs a cache file"), std::string::npos);
+
+  // A cache with one default-grid point: the report still prints, lists the
+  // other 34 points and exits 1. Nothing is simulated.
+  ExperimentResult r;
+  r.workload = "bscholes";
+  r.design = Design::kBaseline;
+  r.config_hash = config_fingerprint(SimConfig{});
+  r.m.cycles = 1000;
+  ASSERT_TRUE(append_result_line(cache, r));
+  pid = spawn_sweep({bin, "--report", "--cache", cache}, err_path, out_path);
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  const std::string report = read_file(out_path);
+  EXPECT_NE(report.find("== Fig. 9: Execution time"), std::string::npos) << report;
+  EXPECT_NE(report.find("34 default-grid point(s) missing"), std::string::npos);
+  EXPECT_NE(report.find("missing: heat x AVR\n"), std::string::npos);
+  EXPECT_EQ(report.find("missing: bscholes x baseline"), std::string::npos);
+  EXPECT_NE(read_file(err_path).find("lacks 34 default-grid point(s)"),
+            std::string::npos);
+  // The report left the cache as it was.
+  EXPECT_EQ(load_result_cache(cache).size(), 1u);
+  for (const auto& path : {cache, err_path, out_path}) std::remove(path.c_str());
 }
 
 TEST(WorkStealing, SurvivorReclaimsPointsOfSigkilledWorker) {
