@@ -14,8 +14,14 @@ the trailing part (a basename, or an include-style path) of a file under
 the source directories below. A renamed or deleted source file therefore
 cannot linger in the docs.
 
+Finally, every AVR_* name anywhere in a doc (a CMake option such as
+-DAVR_<NAME>=..., an environment variable, a macro), fenced blocks
+included, must appear as a whole name in CMakeLists.txt or in a file under
+the source directories or .github/. A removed option or variable therefore
+cannot linger in the docs either.
+
 Usage: scripts/check_links.py [file-or-dir ...]   (default: README.md docs/)
-Exit status: 0 if every link and file name resolves, 1 otherwise.
+Exit status: 0 if every link, file name and AVR_* name resolves, 1 otherwise.
 """
 
 import re
@@ -26,6 +32,9 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE = re.compile(r"^\s*(```|~~~)")
 CODE_SPAN = re.compile(r"`([^`]+)`")
 SOURCE_NAME = re.compile(r"^([\w./-]+\.(?:cc|hh|cpp|py))(?::\d+)?$")
+# A whole AVR_* name; in a doc it may follow a -D (a CMake option).
+AVR_NAME = re.compile(r"(?:(?<=-D)|(?<![A-Za-z0-9_]))AVR_[A-Z0-9_]*[A-Z0-9]"
+                      r"(?![A-Za-z0-9_])")
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE_DIRS = ("src", "tests", "bench", "examples", "scripts", "perfbench")
 
@@ -34,6 +43,19 @@ def source_files():
     """Every file under SOURCE_DIRS, as '/'-prefixed repo-relative paths."""
     return ["/" + p.relative_to(ROOT).as_posix()
             for d in SOURCE_DIRS for p in (ROOT / d).rglob("*") if p.is_file()]
+
+
+def defined_avr_names():
+    """Every AVR_* name in CMakeLists.txt, SOURCE_DIRS and .github/. This
+    script is left out, so that a name it mentions defines nothing."""
+    files = [ROOT / "CMakeLists.txt"]
+    files += [p for d in SOURCE_DIRS + (".github",)
+              for p in (ROOT / d).rglob("*") if p.is_file()]
+    names = set()
+    for f in files:
+        if f.resolve() != Path(__file__).resolve():
+            names.update(AVR_NAME.findall(f.read_text(errors="ignore")))
+    return names
 
 
 def candidate_files(args):
@@ -45,10 +67,14 @@ def candidate_files(args):
             yield root
 
 
-def check_file(md: Path, sources):
+def check_file(md: Path, sources, avr_names):
     dead = []
     in_fence = False
     for lineno, line in enumerate(md.read_text().splitlines(), start=1):
+        for name in AVR_NAME.findall(line):
+            if name not in avr_names:
+                dead.append((lineno, "AVR_* name used nowhere in the build, "
+                                     "sources or CI: " + name))
         if FENCE.match(line):
             in_fence = not in_fence
             continue
@@ -80,9 +106,10 @@ def main(argv):
         print("check_links: no markdown files found", file=sys.stderr)
         return 1
     sources = source_files()
+    avr_names = defined_avr_names()
     failures = 0
     for md in files:
-        for lineno, problem in check_file(md, sources):
+        for lineno, problem in check_file(md, sources, avr_names):
             print(f"{md}:{lineno}: {problem}", file=sys.stderr)
             failures += 1
     print(f"check_links: {len(files)} file(s), {failures} problem(s)")

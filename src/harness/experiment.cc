@@ -1,15 +1,12 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <numeric>
 #include <sstream>
-#include <thread>
 
 #include "common/fault_inject.hh"
 #include "harness/result_cache.hh"
@@ -33,6 +30,35 @@ double design_cost_factor(Design d) {
     case Design::kAvr: return 2.0;
   }
   return 1.0;
+}
+
+/// Exact output of workload `name`, computed once per process however many
+/// runners and threads ask: the per-workload once_flag makes every other
+/// caller wait for (not duplicate) the computation. The output cannot
+/// depend on a runner's config variant: a golden run is a timing-free
+/// baseline System, which builds no cache, LLC or core, and no workload
+/// reads the config.
+const std::vector<double>& golden_output(const std::string& name) {
+  // Node-based maps: references stay valid across inserts; nothing is erased.
+  static std::mutex mu;
+  static std::map<std::string, std::once_flag> once;
+  static std::map<std::string, std::vector<double>> outputs;
+  std::once_flag* flag;
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    flag = &once[name];
+  }
+  std::call_once(*flag, [&] {
+    AVR_PROF_SCOPE(prof::Phase::kFunctional);
+    auto wl = make_workload(name);
+    System sys(Design::kBaseline, SimConfig{}, 1, /*timing=*/false);
+    wl->run(sys);
+    std::vector<double> out = wl->output(sys);
+    std::lock_guard<std::mutex> lk(mu);
+    outputs[name] = std::move(out);
+  });
+  std::lock_guard<std::mutex> lk(mu);
+  return outputs.at(name);
 }
 
 }  // namespace
@@ -122,27 +148,6 @@ SimConfig ExperimentRunner::config_for(const Workload& wl) const {
   return cfg;
 }
 
-const std::vector<double>& ExperimentRunner::golden(const std::string& name) {
-  // One golden run per workload even when several design points of the same
-  // workload start concurrently: the per-workload once_flag makes every other
-  // thread wait for (not duplicate) the computation.
-  std::once_flag* flag;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    flag = &golden_once_[name];
-  }
-  std::call_once(*flag, [&] {
-    auto wl = make_workload(name);
-    System sys(Design::kBaseline, config_for(*wl), 1, /*timing=*/false);
-    wl->run(sys);
-    std::vector<double> out = wl->output(sys);
-    std::lock_guard<std::mutex> lk(mu_);
-    golden_[name] = std::move(out);
-  });
-  std::lock_guard<std::mutex> lk(mu_);
-  return golden_.at(name);
-}
-
 bool ExperimentRunner::cached(const std::string& wl, Design d) {
   std::lock_guard<std::mutex> lk(mu_);
   return cache_.count({wl, d}) != 0;
@@ -197,8 +202,6 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
     flag = &run_once_[key];
   }
   std::call_once(*flag, [&] {
-    if (verbose_)
-      std::fprintf(stderr, "[run] %-8s x %-8s ...\n", name.c_str(), to_string(d));
     const auto t0 = std::chrono::steady_clock::now();
 
     // Everything the point does on this thread — setup, the runs, the
@@ -231,10 +234,7 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
       res.design = d;
       res.config_hash = cfg_hash_;
       res.m = sys.metrics();
-      {
-        AVR_PROF_SCOPE(prof::Phase::kFunctional);
-        res.m.output_error = mean_relative_error(out, golden(name));
-      }
+      res.m.output_error = mean_relative_error(out, golden_output(name));
       res.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
@@ -258,6 +258,9 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
                      name.c_str(), to_string(d), cache_path_.c_str());
       }
     }
+    if (verbose_)
+      std::fprintf(stderr, "[run] %-8s x %-8s %7.2fs\n", name.c_str(),
+                   to_string(d), res.wall_seconds);
     std::lock_guard<std::mutex> lk(mu_);
     prof_totals_.merge(pt);
     prof_points_.push_back({name, to_string(d), base_.avr.t1_override,
@@ -271,56 +274,12 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
 std::vector<ExperimentResult> ExperimentRunner::run_points(
     const std::vector<std::pair<std::string, Design>>& points,
     unsigned n_threads) {
-  // Longest-first: the pool drains points in descending estimated cost, so a
-  // ~30x-cost outlier starts immediately instead of serializing the tail of
-  // the sweep. Already-cached points are skipped by the workers (run() on
-  // them is a pure lookup), so only fresh work is ordered and reported.
-  std::vector<size_t> order(points.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> est(points.size());
-  std::vector<char> warm(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    est[i] = cost_estimate(points[i].first, points[i].second);
-    warm[i] = cached(points[i].first, points[i].second) ? 1 : 0;
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return est[a] > est[b]; });
-  const size_t fresh_total = static_cast<size_t>(
-      std::count(warm.begin(), warm.end(), static_cast<char>(0)));
-
-  if (n_threads == 0) n_threads = std::thread::hardware_concurrency();
-  n_threads = std::max(1u, std::min<unsigned>(n_threads, points.size()));
-
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  std::atomic<bool> failed{false};
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  auto worker = [&] {
-    for (size_t i = next.fetch_add(1); i < order.size(); i = next.fetch_add(1)) {
-      if (failed.load(std::memory_order_relaxed)) return;  // don't start new points
-      const auto& [w, d] = points[order[i]];
-      try {
-        const ExperimentResult& r = run(w, d);
-        if (!warm[order[i]] && verbose_) {
-          const size_t k = done.fetch_add(1) + 1;
-          std::fprintf(stderr, "[sweep %3zu/%zu] %-8s x %-8s %7.2fs\n", k,
-                       fresh_total, w.c_str(), to_string(d), r.wall_seconds);
-        }
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads - 1);
-  for (unsigned t = 1; t < n_threads; ++t) pool.emplace_back(worker);
-  worker();  // the calling thread is part of the pool
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  std::vector<sweep::VariantPoint> grid;
+  grid.reserve(points.size());
+  for (const auto& p : points) grid.push_back({.point = p});
+  sweep::run_work_stealing(
+      grid, [this](const sweep::VariantPoint&) -> ExperimentRunner& { return *this; },
+      /*claim_path=*/"", {}, n_threads);
 
   // Every point is in cache_ now. Read it directly: a second run() would
   // count each simulated point as a cache hit too.

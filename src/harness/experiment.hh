@@ -54,8 +54,10 @@ class ExperimentRunner {
   static std::string default_seed_cost_path();
 
   /// Run one (workload, design) point. Golden outputs are computed once per
-  /// workload and cached; results are cached too, so repeated calls are
-  /// lookups. Thread-safe: concurrent calls on distinct points proceed in
+  /// workload and process, shared by every runner; results are cached per
+  /// runner, so repeated calls are lookups. A verbose runner prints one
+  /// progress line (workload, design, seconds) as each point it simulates
+  /// finishes. Thread-safe: concurrent calls on distinct points proceed in
   /// parallel, each with its own System; the caches are mutex-guarded and
   /// returned references stay valid for the runner's lifetime.
   const ExperimentResult& run(const std::string& wl, Design d);
@@ -64,11 +66,13 @@ class ExperimentRunner {
   /// construction from disk, or simulated earlier in this process).
   bool cached(const std::string& wl, Design d);
 
-  /// Run an arbitrary point list (e.g. one variant's part of the grid) on the
-  /// pool. Uncached points are scheduled longest-first by cost_estimate() —
-  /// points vary ~30x in cost, so starting the expensive ones first keeps
-  /// the pool busy until the end of the sweep. Returns results in the given
-  /// order; duplicates are allowed (each point still simulates once).
+  /// Run an arbitrary point list on `n_threads` threads (0 = hardware
+  /// concurrency) through sweep::run_work_stealing with no claim path:
+  /// points are scheduled longest-first by cost_estimate() — points vary
+  /// ~30x in cost, so starting the expensive ones first keeps the pool busy
+  /// until the end of the sweep. Returns results in the given order;
+  /// duplicates are allowed (each point still simulates once). Rethrows the
+  /// first point's error.
   std::vector<ExperimentResult> run_points(
       const std::vector<std::pair<std::string, Design>>& points,
       unsigned n_threads = 0);
@@ -111,7 +115,6 @@ class ExperimentRunner {
   std::vector<prof::PointProfile> profile_points();
 
  private:
-  const std::vector<double>& golden(const std::string& wl);
   void load_disk_cache();
   void load_seed_costs();
 
@@ -122,12 +125,10 @@ class ExperimentRunner {
   // Immutable after construction; read without mu_.
   std::map<std::pair<std::string, Design>, double> seed_costs_;
   std::atomic<size_t> disk_write_failures_{0};
-  // mu_ guards golden_, golden_once_ and cache_. Both maps are node-based,
-  // so references handed out stay valid across concurrent inserts; nothing
-  // is ever erased.
+  // mu_ guards cache_ and run_once_. Both maps are node-based, so
+  // references handed out stay valid across concurrent inserts; nothing is
+  // ever erased.
   std::mutex mu_;
-  std::map<std::string, std::vector<double>> golden_;
-  std::map<std::string, std::once_flag> golden_once_;
   std::map<std::pair<std::string, Design>, ExperimentResult> cache_;
   std::map<std::pair<std::string, Design>, std::once_flag> run_once_;
   // Profile accumulation (guarded by mu_): the merged totals and the

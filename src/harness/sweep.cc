@@ -20,6 +20,10 @@ namespace avr {
 namespace sweep {
 namespace {
 
+/// Sleep between rescans when every remaining point is claimed by a live
+/// foreign owner (waiting for their results — or their leases — to land).
+constexpr double kPollSeconds = 0.5;
+
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
@@ -178,18 +182,15 @@ std::vector<std::string> parse_workload_list(const std::string& csv) {
 StealOutcome run_work_stealing(
     const std::vector<VariantPoint>& grid,
     const std::function<ExperimentRunner&(const VariantPoint&)>& runner_for,
-    const std::string& cache_path, const StealOptions& opts,
+    const std::string& claim_path, const StealOptions& opts,
     unsigned n_threads) {
-  if (cache_path.empty())
-    throw std::invalid_argument(
-        "work stealing needs a shared cache file (claims live in it)");
   const std::string owner =
       opts.owner.empty() ? prof::default_owner() : opts.owner;
 
   // Resolve each point's runner, cost and lease once up front; workers then
-  // scan in descending-cost order, which is exactly the longest-first
-  // schedule run_points uses — but now across processes: whichever process
-  // gets there first claims the expensive tail.
+  // scan in descending-cost order — the longest-first schedule, across
+  // processes when they claim: whichever gets there first takes the
+  // expensive tail.
   const size_t n = grid.size();
   std::vector<ExperimentRunner*> runner(n);
   std::vector<double> cost(n);
@@ -221,6 +222,47 @@ StealOutcome run_work_stealing(
 
   auto now = [] { return static_cast<uint64_t>(::time(nullptr)); };
 
+  // The claim on point k: kClaimed at once without a claim path, else a
+  // claim record staked through the cache flock.
+  auto stake = [&](size_t k) {
+    if (claim_path.empty()) return ClaimOutcome::kClaimed;
+    ClaimRecord want;
+    want.workload = grid[k].point.first;
+    want.design = grid[k].point.second;
+    want.config_hash = runner[k]->config_hash();
+    want.owner = owner;
+    want.lease_seconds = lease[k];
+    // One claim attempt per retry round; try_claim_point already rides out
+    // transient lock contention internally, so kError here means the cache
+    // kept failing — back off and re-try a bounded number of times before
+    // giving up on coordination for this point.
+    ClaimOutcome got = try_claim_point(claim_path, want, now());
+    for (int attempt = 1;
+         got == ClaimOutcome::kError && attempt < kIoRetryAttempts;
+         ++attempt) {
+      backoff_sleep(attempt - 1, static_cast<uint64_t>(k) ^
+                                     (static_cast<uint64_t>(attempt) << 24));
+      got = try_claim_point(claim_path, want, now());
+    }
+    if (got != ClaimOutcome::kError) return got;
+    // Degrade, don't abort: simulate without a claim. Another process may
+    // duplicate the point (waste), but never corrupt it — points are
+    // deterministic and result loads duplicate-tolerant. The sweep's output
+    // stays complete and correct; the persistent I/O failure is reported
+    // through StealOutcome and the tool's exit code, not by throwing away
+    // the run.
+    if (!warned_degraded.exchange(true))
+      std::fprintf(stderr,
+                   "[steal] WARNING: cache %s unusable for claims after %d "
+                   "attempts; degrading to uncoordinated simulation "
+                   "(duplicate work possible, results stay correct)\n",
+                   claim_path.c_str(), kIoRetryAttempts);
+    std::lock_guard<std::mutex> lk(stats_mu);
+    outcome.claim_errors++;
+    outcome.degraded = true;
+    return ClaimOutcome::kClaimed;
+  };
+
   auto worker = [&] {
     // Scheduler-side profile: claim I/O and win/loss counters land here;
     // each simulated point installs its own sink inside run(), so point
@@ -235,46 +277,7 @@ StealOutcome run_work_stealing(
         int expect = 0;
         if (!state[k].compare_exchange_strong(expect, 1)) continue;
         const auto& [wl, d] = grid[k].point;
-        ClaimRecord want;
-        want.workload = wl;
-        want.design = d;
-        want.config_hash = runner[k]->config_hash();
-        want.owner = owner;
-        want.lease_seconds = lease[k];
-        // One claim attempt per retry round; try_claim_point already rides
-        // out transient lock contention internally, so kError here means
-        // the cache kept failing — back off and re-try a bounded number of
-        // times before giving up on coordination for this point.
-        ClaimOutcome got = try_claim_point(cache_path, want, now());
-        for (int attempt = 1;
-             got == ClaimOutcome::kError && attempt < kIoRetryAttempts;
-             ++attempt) {
-          backoff_sleep(attempt - 1,
-                        static_cast<uint64_t>(k) ^
-                            (static_cast<uint64_t>(attempt) << 24));
-          got = try_claim_point(cache_path, want, now());
-        }
-        if (got == ClaimOutcome::kError) {
-          // Degrade, don't abort: simulate without a claim. Another process
-          // may duplicate the point (waste), but never corrupt it — points
-          // are deterministic and result loads duplicate-tolerant. The
-          // sweep's output stays complete and correct; the persistent I/O
-          // failure is reported through StealOutcome and the tool's exit
-          // code, not by throwing away the run.
-          if (!warned_degraded.exchange(true))
-            std::fprintf(stderr,
-                         "[steal] WARNING: cache %s unusable for claims "
-                         "after %d attempts; degrading to uncoordinated "
-                         "simulation (duplicate work possible, results stay "
-                         "correct)\n",
-                         cache_path.c_str(), kIoRetryAttempts);
-          {
-            std::lock_guard<std::mutex> lk(stats_mu);
-            outcome.claim_errors++;
-            outcome.degraded = true;
-          }
-          got = ClaimOutcome::kClaimed;
-        }
+        const ClaimOutcome got = stake(k);
         if (got == ClaimOutcome::kClaimed || got == ClaimOutcome::kReclaimed) {
           if (got == ClaimOutcome::kReclaimed)
             std::fprintf(stderr, "[steal] %s reclaims %s x %s (lease expired)\n",
@@ -299,16 +302,18 @@ StealOutcome run_work_stealing(
           progressed = true;
           std::lock_guard<std::mutex> lk(stats_mu);
           outcome.done_elsewhere++;
-        } else {  // kBusy (kError was degraded to kClaimed above)
+        } else {  // kBusy (stake() degrades kError to kClaimed)
           state[k].store(0);  // a live foreign claim — poll again later
         }
       }
+      // Without claims one scan leaves nothing open: every point this
+      // worker skipped is running, or done, on another of its threads.
+      if (claim_path.empty()) break;
       // Every remaining point is claimed by a live foreign owner: wait for
       // their results (or their leases) instead of hammering the flock.
       if (!progressed && open_count.load(std::memory_order_relaxed) > 0 &&
           !failed.load(std::memory_order_relaxed))
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(opts.poll_seconds));
+        std::this_thread::sleep_for(std::chrono::duration<double>(kPollSeconds));
     }
     std::lock_guard<std::mutex> lk(stats_mu);
     outcome.sched.merge(sched);

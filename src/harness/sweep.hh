@@ -1,11 +1,11 @@
-// Grid enumeration and the claim-based work-stealing scheduler for the
-// distributed paper sweep.
+// Grid enumeration and the point scheduler of the paper sweep.
 //
 // The canonical grid order is workload-major, design-minor (full_grid()
-// below). Processes split it by *work stealing* (--claim): every
-// process sees the full grid and claims points one at a time by appending
-// claim records through the flock'd cache file (run_work_stealing below,
-// protocol in harness/result_cache.hh and docs/OPERATIONS.md). Stragglers
+// below). One scheduler, run_work_stealing, runs every grid: a plain sweep
+// runs all of it in this process, and under *work stealing* (--claim)
+// processes split it: every process sees the full grid and claims points
+// one at a time by appending claim records through the flock'd cache file
+// (protocol in harness/result_cache.hh and docs/OPERATIONS.md). Stragglers
 // rebalance automatically, a killed process's claims expire and get
 // reclaimed, and no coordination is needed up front.
 #pragma once
@@ -98,7 +98,7 @@ std::vector<Design> parse_design_list(const std::string& csv);
 /// and for missing/corrupt trace files.
 std::vector<std::string> parse_workload_list(const std::string& csv);
 
-// ---- claim-based work stealing ---------------------------------------------
+// ---- the point scheduler: plain and claim-based work stealing ---------------
 
 /// Knobs for run_work_stealing.
 struct StealOptions {
@@ -109,14 +109,12 @@ struct StealOptions {
   /// live worker never loses a point it is still simulating, short enough
   /// that a killed worker's points come back within a minute.
   uint64_t lease_seconds = 0;
-  /// Sleep between rescans when every remaining point is claimed by a live
-  /// foreign owner (waiting for their results — or their leases — to land).
-  double poll_seconds = 0.5;
 };
 
 /// What one process's run_work_stealing did, for logs and --profile.
 struct StealOutcome {
-  size_t simulated = 0;       // points this process claimed and simulated
+  size_t simulated = 0;       // points this process claimed and ran (every
+                              // point when there is no claim path)
   size_t reclaimed = 0;       // of those, won by superseding an expired claim
   size_t done_elsewhere = 0;  // points another owner completed
   size_t claim_errors = 0;    // points whose claim I/O failed even after the
@@ -128,25 +126,31 @@ struct StealOutcome {
   prof::Totals sched;         // scheduler-side cache I/O + claim counters
 };
 
-/// Runs `grid` to completion cooperatively with any number of concurrent
-/// processes sharing `cache_path`: each of `n_threads` workers (0 =
-/// hardware concurrency) repeatedly scans the remaining points in
-/// descending cost_estimate order, stakes a claim through the cache flock
-/// (result_cache.hh), and simulates the points it wins via
-/// `runner_for(vp)` — which must return, for each (t1, methods) variant in
-/// the grid, a runner writing to `cache_path` (the same runner every
-/// call; vp.point is irrelevant to the lookup). Returns
-/// once *every* point has a result, whether produced here or by another
-/// process; a process that finishes early keeps polling (poll_seconds) and
-/// reclaims expired claims, so a SIGKILLed peer's points are picked up
-/// automatically. Throws on a simulation error. Cache I/O failure does NOT
-/// abort the sweep: a claim that still fails after bounded backoff retries
-/// degrades that point to uncoordinated simulation with a loud warning
-/// (waste over wrongness — see StealOutcome::degraded).
+/// The one point scheduler, for plain sweeps and `--claim` alike: each of
+/// `n_threads` workers (0 = hardware concurrency) scans the remaining
+/// points in descending cost_estimate order (longest first) and runs each
+/// point it wins via `runner_for(vp)`, which must return the same runner
+/// for every point of one (t1, methods) variant (vp.point is irrelevant to
+/// the lookup). Throws the first simulation error once the workers have
+/// stopped; no new point starts after it.
+///
+/// An empty `claim_path` means no other process shares the grid: every
+/// point is this process's, no claim is staked and run() is called on
+/// every point, cached ones included. Otherwise the runners must write to
+/// `claim_path`, and the workers cooperate with any number of concurrent
+/// processes sharing it: a point is run only after a claim on it is
+/// staked through the cache flock (result_cache.hh). The call returns once
+/// *every* point has a result, whether produced here or by another
+/// process; a process that finishes early keeps polling and reclaims
+/// expired claims, so a SIGKILLed peer's points are picked up
+/// automatically. Cache I/O failure does NOT abort the sweep: a claim that
+/// still fails after bounded backoff retries degrades that point to
+/// uncoordinated simulation with a loud warning (waste over wrongness —
+/// see StealOutcome::degraded).
 StealOutcome run_work_stealing(
     const std::vector<VariantPoint>& grid,
     const std::function<ExperimentRunner&(const VariantPoint&)>& runner_for,
-    const std::string& cache_path, const StealOptions& opts,
+    const std::string& claim_path, const StealOptions& opts,
     unsigned n_threads = 0);
 
 }  // namespace sweep

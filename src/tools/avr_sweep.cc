@@ -403,59 +403,51 @@ int main(int argc, char** argv) {
   // One runner per (t1, methods) variant in the grid: each loads and
   // appends only records carrying its own config fingerprint, so all
   // variants share the one cache file.
-  const auto groups = by_variant(grid);
+  std::map<Variant, std::unique_ptr<ExperimentRunner>> runners;
   size_t warm = 0;
-  std::vector<std::pair<Variant, std::unique_ptr<ExperimentRunner>>> runners;
-  for (const auto& [variant, points] : groups) {
-    runners.emplace_back(
-        variant, std::make_unique<ExperimentRunner>(
-                     sweep::variant_config(variant.first, variant.second),
-                     /*verbose=*/!o.quiet, o.cache_path));
-    for (const auto& [w, d] : points)
-      if (runners.back().second->cached(w, d)) ++warm;
+  for (const auto& [t1, p, methods] : grid) {
+    auto& runner = runners[{t1, methods}];
+    if (!runner)
+      runner = std::make_unique<ExperimentRunner>(
+          sweep::variant_config(t1, methods), /*verbose=*/!o.quiet,
+          o.cache_path);
+    if (runner->cached(p.first, p.second)) ++warm;
   }
 
   if (o.claim)
     std::fprintf(stderr,
                  "[sweep] claim mode (owner %s): %zu grid points (%zu cached, "
                  "%zu variant(s)), %u jobs, cache=%s\n",
-                 o.owner.c_str(), grid.size(), warm, groups.size(), o.jobs,
+                 o.owner.c_str(), grid.size(), warm, runners.size(), o.jobs,
                  o.cache_path.c_str());
   else
     std::fprintf(stderr,
                  "[sweep] single process: %zu grid points (%zu cached, "
                  "%zu variant(s)), %u jobs, cache=%s\n",
-                 grid.size(), warm, groups.size(), o.jobs,
+                 grid.size(), warm, runners.size(), o.jobs,
                  o.cache_path.empty() ? "<disabled>" : o.cache_path.c_str());
 
+  // Both modes drain the whole variant grid from one longest-first pool;
+  // only --claim coordinates with other processes through the cache file.
   const auto t0 = std::chrono::steady_clock::now();
-  size_t write_failures = 0;
   sweep::StealOutcome steal;
   try {
-    if (o.claim) {
-      std::map<Variant, ExperimentRunner*> rmap;
-      for (auto& [variant, runner] : runners) rmap[variant] = runner.get();
-      sweep::StealOptions so;
-      so.owner = o.owner;
-      so.lease_seconds = o.claim_lease;
-      steal = sweep::run_work_stealing(
-          grid,
-          [&](const sweep::VariantPoint& vp) -> ExperimentRunner& {
-            return *rmap.at({vp.t1, vp.methods});
-          },
-          o.cache_path, so, o.jobs);
-      for (auto& [variant, runner] : runners)
-        write_failures += runner->disk_write_failures();
-    } else {
-      for (auto& [variant, runner] : runners) {
-        runner->run_points(groups.at(variant), o.jobs);
-        write_failures += runner->disk_write_failures();
-      }
-    }
+    sweep::StealOptions so;
+    so.owner = o.owner;
+    so.lease_seconds = o.claim_lease;
+    steal = sweep::run_work_stealing(
+        grid,
+        [&](const sweep::VariantPoint& vp) -> ExperimentRunner& {
+          return *runners.at({vp.t1, vp.methods});
+        },
+        o.claim ? o.cache_path : "", so, o.jobs);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "avr_sweep: point failed: %s\n", e.what());
     return 1;
   }
+  size_t write_failures = 0;
+  for (auto& [variant, runner] : runners)
+    write_failures += runner->disk_write_failures();
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   // The cache IS this process's output: results that only exist in

@@ -661,6 +661,47 @@ std::string read_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+TEST(WorkStealing, PlainVariantSweepRunsOneGoldenRunPerWorkload) {
+  const std::string bin = sweep_binary();
+  if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
+
+  const std::string cache =
+      (std::filesystem::temp_directory_path() /
+       ("avr_plain_variants_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  const std::string sidecar = cache + ".profile.json";
+  std::remove(cache.c_str());
+
+  // Two --t1 variants x two workloads x two designs in one plain process:
+  // all eight points share one pool and one golden run per workload.
+  const std::vector<std::string> select = {
+      "--t1", "4,7", "--workloads", "kmeans,bscholes", "--designs",
+      "baseline,AVR", "--cache", cache};
+  auto run = [&](std::vector<std::string> args) {
+    args.insert(args.begin(), bin);
+    args.insert(args.end(), select.begin(), select.end());
+    int status = 0;
+    const pid_t pid = spawn_sweep(args);
+    EXPECT_EQ(waitpid(pid, &status, 0), pid);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  EXPECT_EQ(run({"--jobs", "2", "--profile-out", sidecar, "--quiet"}), 0);
+  EXPECT_EQ(run({"--check"}), 0);
+
+  // The functional phase times golden runs: one per workload, not one per
+  // point (8) or per (variant, workload) (4).
+  const std::string text = read_file(sidecar);
+  const size_t agg = text.find("\"aggregate\":");
+  const size_t fn = text.find("\"functional\":", agg);
+  const size_t calls = text.find("\"calls\":", fn);
+  ASSERT_NE(agg, std::string::npos) << text;
+  ASSERT_NE(fn, std::string::npos) << text;
+  ASSERT_NE(calls, std::string::npos) << text;
+  EXPECT_EQ(std::stoull(text.substr(calls + 8)), 2u) << text;
+  std::remove(sidecar.c_str());
+  std::remove(cache.c_str());
+}
+
 TEST(WorkStealing, ReportNeedsACacheAndTheWholeDefaultGrid) {
   const std::string bin = sweep_binary();
   if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
